@@ -11,7 +11,7 @@ from typing import Optional, Sequence, Union
 
 from .cyclotomic import Cyclotomic
 from .groups import FiniteGroup, GroupError, SubgroupClass, cyclic, \
-    subgroup_as_group
+    is_prime, subgroup_as_group
 
 Rat = Union[int, Fraction]
 
@@ -199,8 +199,8 @@ def inflate(chi: ClassFunction, G: FiniteGroup, proj: Sequence[int]
 def delta_mult(p: int, m: int) -> ClassFunction:
     """Depth character of a single-fixed-point order-p^m action, as a
     rational class function on the cyclic group of order p^m."""
-    if not _is_prime(p):
-        raise CharacterError(f"{p} is not prime")
+    if not is_prime(p):
+        raise CharacterError(f"p = {p} is not a prime")
     if m < 0:
         raise CharacterError("m must be nonnegative")
     G = cyclic(p ** m)
@@ -229,6 +229,8 @@ def delta_mult_on(G: FiniteGroup, gen: int, p: int, m: int) -> ClassFunction:
 def delta_mult_star(C: SubgroupClass, p: int) -> ClassFunction:
     """(delta^mult_{P})^* on G, where P is the Sylow p-part of the cyclic
     subgroup class C."""
+    if not is_prime(p):
+        raise CharacterError(f"p = {p} is not a prime")
     P = C.sylow(p)
     H, embed = P.as_group()
     m = _ord_p_order(P.order, p)
@@ -236,15 +238,6 @@ def delta_mult_star(C: SubgroupClass, p: int) -> ClassFunction:
         next(h for h in range(H.n) if H.order_of[h] == P.order)
     d = delta_mult_on(H, gen_h, p, m)
     return induce(d, C.group, embed)
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    for d in range(2, int(math.isqrt(p)) + 1):
-        if p % d == 0:
-            return False
-    return True
 
 
 def _ord_p(a: int, p: int) -> int:
@@ -358,7 +351,7 @@ def _lifting_prime(n: int, e: int) -> int:
     bound = 2 * math.isqrt(n) * n
     q = e + 1
     while True:
-        if q > bound and q % e == 1 and _is_prime(q):
+        if q > bound and q % e == 1 and is_prime(q):
             return q
         q += e if q % e == 1 else (e - (q - 1) % e)
 

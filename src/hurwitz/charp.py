@@ -9,20 +9,11 @@ from typing import Dict, List, Sequence, Tuple
 
 from .characters import ClassFunction
 from .disk import PrecisionError
-from .groups import FiniteGroup, elementary_abelian
+from .groups import FiniteGroup, elementary_abelian, is_prime
 
 
 class CharPError(ValueError):
     pass
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, int(n ** 0.5) + 1):
-        if n % d == 0:
-            return False
-    return True
 
 
 class GF:
@@ -30,8 +21,8 @@ class GF:
     over F_p in base p, multiplication modulo a found irreducible."""
 
     def __init__(self, p: int, k: int = 1):
-        if not _is_prime(p):
-            raise CharPError(f"{p} is not prime")
+        if not is_prime(p):
+            raise CharPError(f"p = {p} is not a prime")
         q = p ** k
         if q > 256:
             raise CharPError("field order must be at most 256")

@@ -9,7 +9,6 @@ error (a violated precondition or axiom, named in the message).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 
@@ -47,18 +46,6 @@ class CLIError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CLIError(EXIT_PARSE, f"argument error: {message}")
-
-
-def _threads() -> int:
-    raw = os.environ.get("HG_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise CLIError(EXIT_PARSE, f"HG_THREADS must be an integer, "
-                       f"got {raw!r}") from None
-    if n < 1:
-        raise CLIError(EXIT_PARSE, "HG_THREADS must be >= 1")
-    return n
 
 
 def _emit(args, payload: dict, dot: str = None) -> None:
@@ -271,7 +258,6 @@ def _load_char(path, group_ref):
 
 
 def cmd_obstruct_hurwitz(args) -> int:
-    _threads()
     a = _load_char(args.file, args.group)
     report = hurwitz_feasibility(a.group, args.p, a)
     payload = {
@@ -299,7 +285,6 @@ def cmd_obstruct_hurwitz(args) -> int:
 
 
 def cmd_quaternion(args) -> int:
-    _threads()
     rep = quaternion_report(args.n)
     payload = {
         "n": rep.n,

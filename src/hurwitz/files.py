@@ -17,7 +17,7 @@ from .characters import ClassFunction
 from .cyclotomic import Cyclotomic
 from .disk import DiskAction
 from .groups import FiniteGroup, GroupError, SubgroupClass, build_group, \
-    subgroup_class_of
+    is_prime, subgroup_class_of
 from .localfield import CycloLocalField, MobiusMap, TruncatedSeries
 from .trees import HurwitzTree, LiftedTree, RootedMetricTree, TreeError, \
     build_hurwitz_tree
@@ -58,6 +58,11 @@ def parse_cyclotomic(obj) -> Cyclotomic:
             raise FileFormatError(
                 f"cyclotomic object needs conductor/coeffs: {obj!r}"
             ) from None
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1 \
+                or not isinstance(coeffs, list):
+            raise FileFormatError(
+                f"cyclotomic object needs a positive integer conductor and "
+                f"a coeffs list: {obj!r}")
         return Cyclotomic(n, [parse_rational(c) for c in coeffs])
     return Cyclotomic.from_rational(parse_rational(obj))
 
@@ -76,11 +81,24 @@ def format_cyclotomic(x: Cyclotomic):
 def load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise FileFormatError(f"{path}: top level must be a JSON object")
+    return data
+
+
+def _container(data: dict, key: str, kind: type, path: str):
+    """data[key], or an empty kind when absent; any other JSON type there
+    is a format error."""
+    value = data.get(key, kind())
+    if not isinstance(value, kind):
+        raise FileFormatError(f"{path}: {key!r} must be a JSON "
+                              f"{'array' if kind is list else 'object'}")
+    return value
 
 
 def resolve_group(ref, base_dir: str = ".") -> FiniteGroup:
@@ -98,6 +116,8 @@ def resolve_group(ref, base_dir: str = ".") -> FiniteGroup:
 
 def parse_subgroup(G: FiniteGroup, name: str) -> SubgroupClass:
     """Subgroup-class names: "G", "1", or "<word,word>"."""
+    if not isinstance(name, str):
+        raise FileFormatError(f"subgroup name must be a string: {name!r}")
     if name == "G":
         return subgroup_class_of(G, range(G.n))
     if name == "1":
@@ -140,25 +160,31 @@ def load_tree_file(path: str) -> HurwitzTree:
     base = os.path.dirname(path) or "."
     G = resolve_group(data.get("group"), base)
     p = data.get("p")
-    if not isinstance(p, int) or p < 2:
-        raise FileFormatError(f"{path}: 'p' must be a prime")
+    if not is_prime(p):
+        raise FileFormatError(f"{path}: 'p' must be a prime, got {p!r}")
     monodromy: Dict[int, SubgroupClass] = {}
     ids = []
-    for v in data.get("vertices", []):
-        vid = v.get("id")
+    for v in _container(data, "vertices", list, path):
+        vid = v.get("id") if isinstance(v, dict) else None
         if not isinstance(vid, int):
             raise FileFormatError(f"{path}: vertex without integer id: {v!r}")
         ids.append(vid)
         if "monodromy" in v:
             monodromy[vid] = parse_subgroup(G, v["monodromy"])
-    for key, name in data.get("leaf_monodromy", {}).items():
-        monodromy[int(key)] = parse_subgroup(G, name)
+    for key, name in _container(data, "leaf_monodromy", dict, path).items():
+        try:
+            vid = int(key)
+        except ValueError:
+            raise FileFormatError(
+                f"{path}: leaf_monodromy keys must be vertex ids: {key!r}"
+            ) from None
+        monodromy[vid] = parse_subgroup(G, name)
     edges = []
-    for e in data.get("edges", []):
+    for e in _container(data, "edges", list, path):
         try:
             edges.append((int(e["from"]), int(e["to"]),
                           parse_rational(e["eps"])))
-        except (KeyError, TypeError):
+        except (KeyError, TypeError, ValueError):
             raise FileFormatError(
                 f"{path}: edge needs from/to/eps: {e!r}") from None
     targets = {t for _, t, _ in edges}
@@ -171,6 +197,10 @@ def load_tree_file(path: str) -> HurwitzTree:
         T = RootedMetricTree(roots[0], edges)
     except TreeError as exc:
         raise FileFormatError(f"{path}: {exc}") from None
+    undeclared = [v for v in T.vertices if v not in ids and v not in monodromy]
+    if undeclared:
+        raise FileFormatError(
+            f"{path}: edges reach undeclared vertices {undeclared}")
     missing = [v for v in ids if v not in monodromy]
     if missing:
         raise FileFormatError(
@@ -178,7 +208,8 @@ def load_tree_file(path: str) -> HurwitzTree:
     delta_root = None
     if "delta_root" in data:
         vals = data["delta_root"]
-        if len(vals) != len(G.conjugacy_classes()):
+        if not isinstance(vals, list) or \
+                len(vals) != len(G.conjugacy_classes()):
             raise FileFormatError(f"{path}: delta_root needs one value "
                                   "per conjugacy class")
         delta_root = ClassFunction(G, [parse_cyclotomic(v) for v in vals])
@@ -241,7 +272,7 @@ def load_action_file(path: str, precision: int = 24) -> DiskAction:
         raise FileFormatError(f"{path}: bad field spec: {exc}") from None
     G = resolve_group(data.get("group"), base)
     gens = {}
-    for name, desc in data.get("generators", {}).items():
+    for name, desc in _container(data, "generators", dict, path).items():
         if not isinstance(desc, dict):
             raise FileFormatError(f"{path}: bad generator {name!r}")
         if "mobius" in desc:
@@ -256,7 +287,12 @@ def load_action_file(path: str, precision: int = 24) -> DiskAction:
                                    parse_cyclotomic(c), parse_cyclotomic(d))
         elif "series" in desc:
             spec = desc["series"]
-            coeffs = [parse_cyclotomic(c) for c in spec["coeffs"]]
+            try:
+                coeffs = [parse_cyclotomic(c) for c in spec["coeffs"]]
+            except (KeyError, TypeError):
+                raise FileFormatError(
+                    f"{path}: series generator {name!r} needs a 'coeffs' "
+                    "list") from None
             prec = spec.get("precision", max(len(coeffs), precision))
             gens[name] = TruncatedSeries(field, coeffs, prec)
         else:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Optional, Sequence
 
 MAX_ORDER = 256
@@ -17,6 +17,11 @@ MAX_ORDER = 256
 
 class GroupError(ValueError):
     pass
+
+
+def is_prime(n) -> bool:
+    return (isinstance(n, int) and n >= 2
+            and all(n % d for d in range(2, isqrt(n) + 1)))
 
 
 class FiniteGroup:
@@ -208,18 +213,19 @@ class FiniteGroup:
     # -- subgroups of element sets --
 
     def closure(self, gens) -> frozenset:
+        """Subgroup generated by gens: a right-multiplication BFS from the
+        identity that multiplies each new element once by every generator
+        (in a finite group the words in gens already form a subgroup)."""
+        gens = list(gens)
         elems = {self._identity}
-        frontier = list(gens)
-        elems.update(frontier)
-        while frontier:
-            nxt = []
-            for x in list(elems):
-                for g in frontier:
-                    for y in (self.table[x][g], self.table[g][x]):
-                        if y not in elems:
-                            elems.add(y)
-                            nxt.append(y)
-            frontier = nxt
+        queue = [self._identity]
+        for x in queue:
+            row = self.table[x]
+            for g in gens:
+                y = row[g]
+                if y not in elems:
+                    elems.add(y)
+                    queue.append(y)
         return frozenset(elems)
 
     def is_subgroup(self, elems) -> bool:
@@ -307,22 +313,44 @@ def subgroup_as_group(G: FiniteGroup, elems):
 
 # -- subgroup enumeration --
 
-def _classify(G: FiniteGroup, subgroup_sets):
-    """Group subgroup sets into conjugacy classes; return SubgroupClass list."""
-    remaining = set(subgroup_sets)
-    classes = []
-    for s in sorted(subgroup_sets, key=lambda s: (len(s), sorted(s))):
-        if s not in remaining:
-            continue
-        orbit = {G.conjugate_set(g, s) for g in range(G.n)}
-        remaining -= orbit
-        rep = min(orbit, key=lambda t: sorted(t))
-        classes.append(rep)
-    classes.sort(key=lambda s: (len(s), sorted(s)))
+def _class_reps(G: FiniteGroup):
+    """One representative, the least conjugate under `sorted`, of every
+    conjugacy class of subgroups, by cyclic extension (Neubueser 1960).
+
+    A subgroup <g1,...,gk> is conjugate to <H, g> for H the representative
+    of <g1,...,g(k-1)>'s class and some g, so extending every
+    representative by one element at a time reaches every class."""
+    trivial = frozenset({G.identity})
+    seen = {trivial}           # every subgroup met so far, with its conjugates
+    reps = [(trivial, ())]     # (representative, generators), grows below
+    for H, gens in reps:
+        done = set(H)
+        for g in range(G.n):
+            if g in done:
+                continue
+            # <H, hg> = <H, g>: one extension per right coset of H
+            done.update(G.table[h][g] for h in H)
+            K = G.closure(gens + (g,))
+            if K in seen:
+                continue
+            orbit = {}
+            for c in range(G.n):
+                orbit.setdefault(G.conjugate_set(c, K), c)
+            seen.update(orbit)
+            rep = min(orbit, key=sorted)
+            c = orbit[rep]
+            reps.append((rep, tuple(G.conj(c, x) for x in gens + (g,))))
+    return [rep for rep, _ in reps]
+
+
+def _classify(G: FiniteGroup, reps):
+    """SubgroupClass list from pairwise non-conjugate representatives:
+    class ids by (order, sorted elements), cyclic generators least first."""
     out = []
-    for cid, rep in enumerate(classes):
-        gen = next((g for g in sorted(rep) if G.closure([g]) == rep), None)
-        out.append(SubgroupClass(group=G, rep=tuple(sorted(rep)), class_id=cid,
+    ordered = sorted((sorted(s) for s in reps), key=lambda r: (len(r), r))
+    for cid, rep in enumerate(ordered):
+        gen = next((g for g in rep if G.order_of[g] == len(rep)), None)
+        out.append(SubgroupClass(group=G, rep=tuple(rep), class_id=cid,
                                  order=len(rep), is_cyclic=gen is not None,
                                  generator=gen))
     return out
@@ -333,21 +361,7 @@ def subgroup_classes(G: FiniteGroup, cyclic_only: bool = False,
     """Conjugacy classes of subgroups; class_id is canonical (assigned on
     the full lattice regardless of the filters)."""
     if "all" not in G._subgroup_cache:
-        sets = {G.closure([g]) for g in range(G.n)}
-        sets.add(frozenset({G.identity}))
-        # closure of generating sets of size <= 2, then join closure
-        for a in range(G.n):
-            for b in range(a + 1, G.n):
-                sets.add(G.closure([a, b]))
-        changed = True
-        while changed:
-            changed = False
-            for s, t in itertools.combinations(list(sets), 2):
-                j = G.closure(s | t)
-                if j not in sets:
-                    sets.add(j)
-                    changed = True
-        G._subgroup_cache["all"] = _classify(G, sets)
+        G._subgroup_cache["all"] = _classify(G, _class_reps(G))
     return [C for C in G._subgroup_cache["all"]
             if (not cyclic_only or C.is_cyclic)
             and (not nontrivial_only or C.order > 1)]
@@ -383,6 +397,8 @@ def contained_up_to_conjugacy(H: SubgroupClass, K: SubgroupClass):
 def sylow_p_of_cyclic(C: SubgroupClass, p: int) -> SubgroupClass:
     if not C.is_cyclic:
         raise GroupError("Sylow extraction requires a cyclic subgroup")
+    if not is_prime(p):
+        raise GroupError(f"p = {p} is not a prime")
     G = C.group
     m = C.order
     pk = 1

@@ -14,8 +14,8 @@ from .characters import (ClassFunction, character_table, induce, inflate,
                          is_true_character, one_char, pair)
 from .cyclotomic import Cyclotomic
 from .groups import (FiniteGroup, SubgroupClass, contained_up_to_conjugacy,
-                     generalized_quaternion, quotient, subgroup_class_of,
-                     subgroup_classes)
+                     generalized_quaternion, is_prime, quotient,
+                     subgroup_class_of, subgroup_classes)
 from .lp import LPResult, solve_lp
 from .trees import (HurwitzTree, RootedMetricTree, all_axioms_pass,
                     build_hurwitz_tree, cached_delta_target, cached_u_star,
@@ -358,6 +358,8 @@ def hurwitz_feasibility(G: FiniteGroup, p: int,
     character a and zero root depth."""
     if a.group is not G:
         raise ObstructionError("character is not on the given group")
+    if not is_prime(p):
+        raise ObstructionError(f"p = {p} is not a prime")
     decomps = bertin_check(a)
     report = ObstructionReport(verdict="infeasible", artin=a, p=p,
                                decompositions=decomps)

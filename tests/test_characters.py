@@ -111,6 +111,8 @@ def test_delta_mult_star_tame_is_zero(z3):
     C = subgroup_class_of(z3, range(3))
     d = delta_mult_star(C, 2)     # order coprime to p: depth target vanishes
     assert all(v.is_zero() for v in d.values)
+    with pytest.raises(CharacterError, match="p = 1 is not a prime"):
+        delta_mult_star(C, 1)
 
 
 def test_multiplicities_and_true_characters(q8):

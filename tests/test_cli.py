@@ -209,11 +209,72 @@ def test_domain_error_exit_code(capsys, write_json):
     assert "DiskError" in err
 
 
-def test_hg_threads_validation(capsys, write_json, monkeypatch):
+@pytest.mark.parametrize("p", ["0", "1", "4"])
+def test_obstruct_rejects_non_prime_p(capsys, write_json, p):
     feas = write_json("f.json", {"group": Z2_REF, "values": ["2", "-2"]})
-    monkeypatch.setenv("HG_THREADS", "zero")
-    code, _, err = run(capsys, "obstruct", "hurwitz", feas, "--p", "2")
+    code, _, err = run(capsys, "obstruct", "hurwitz", feas, "--p", p)
+    assert code == 65
+    assert f"p = {p} is not a prime" in err
+    assert "Traceback" not in err
+
+
+def test_tree_edge_to_undeclared_vertex(capsys, write_json):
+    tree = json.loads(json.dumps(TREE_Z2))
+    tree["vertices"] = tree["vertices"][:3]
+    tree["edges"][2]["to"] = 7
+    code, _, err = run(capsys, "tree", "validate", write_json("t.json", tree))
     assert code == 64
-    monkeypatch.setenv("HG_THREADS", "2")
-    code, _, _ = run(capsys, "obstruct", "hurwitz", feas, "--p", "2")
-    assert code == 0
+    assert "undeclared vertices [7]" in err
+    assert "Traceback" not in err
+
+
+def test_series_generator_without_coeffs(capsys, write_json):
+    act = json.loads(json.dumps(ACT_LIN4))
+    act["generators"]["s"] = {"series": {"precision": 8}}
+    code, _, err = run(capsys, "disk", "depth", write_json("act.json", act))
+    assert code == 64
+    assert "coeffs" in err
+    assert "Traceback" not in err
+    act["generators"] = [1]
+    code, _, err = run(capsys, "disk", "depth", write_json("act.json", act))
+    assert code == 64
+    assert "'generators' must be a JSON object" in err
+
+
+def test_cyclotomic_conductor_zero(capsys, write_json):
+    bad = write_json("c.json", {"group": Z2_REF, "values": [
+        {"conductor": 0, "coeffs": ["1"]}, "-2"]})
+    code, _, err = run(capsys, "obstruct", "bertin", bad)
+    assert code == 64
+    assert "conductor" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("change", [
+    {"vertices": [0, 1, 2, 3]},
+    {"vertices": [{"id": 0, "monodromy": 3}]},
+    {"leaf_monodromy": {"x": "G"}},
+    {"edges": [{"from": "x", "to": 1, "eps": "2"}]},
+    {"delta_root": 5},
+    {"p": 4},
+    {"vertices": 5},
+    {"edges": 5},
+    {"leaf_monodromy": [1]},
+], ids=["vertex-not-object", "monodromy-not-string", "leaf-key",
+        "edge-endpoint", "delta-root", "p-not-prime", "vertices-not-array",
+        "edges-not-array", "leaf-monodromy-not-object"])
+def test_malformed_tree_fields(capsys, write_json, change):
+    tree = dict(TREE_Z2, **change)
+    code, _, err = run(capsys, "tree", "validate", write_json("t.json", tree))
+    assert code == 64
+    assert "Traceback" not in err
+
+
+def test_top_level_must_be_an_object(capsys, tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    for argv in (("tree", "validate"), ("disk", "depth"),
+                 ("obstruct", "bertin")):
+        code, _, err = run(capsys, *argv, str(path))
+        assert code == 64
+        assert "JSON object" in err

@@ -2,8 +2,13 @@ import pytest
 
 from hurwitz.groups import (GroupError, build_group, cyclic, dihedral,
                             direct_product, elementary_abelian,
-                            find_isomorphism, generalized_quaternion,
-                            subgroup_class_of, subgroup_classes)
+                            find_isomorphism, from_permutations,
+                            generalized_quaternion, subgroup_class_of,
+                            subgroup_classes)
+
+S4 = [[1, 0, 2, 3], [1, 2, 3, 0]]          # (0 1), (0 1 2 3)
+A4 = [[1, 2, 0, 3], [0, 2, 3, 1]]          # (0 1 2), (1 2 3)
+A5 = [[1, 2, 0, 3, 4], [1, 2, 3, 4, 0]]    # (0 1 2), (0 1 2 3 4)
 
 
 def test_basic_invariants(q8, q16, d4, z9, klein):
@@ -32,6 +37,45 @@ def test_subgroup_lattice_q8(q8):
         assert len(C.conjugates()) == 1
 
 
+# subgroup counts of E(p^k) are sums of Gaussian binomials; S4, A4 and A5
+# (not solvable) have 11, 5 and 9 conjugacy classes of subgroups
+@pytest.mark.parametrize("make, count", [
+    (lambda: elementary_abelian(2, 4), 67),
+    (lambda: elementary_abelian(3, 3), 28),
+    (lambda: elementary_abelian(2, 5), 374),
+    (lambda: from_permutations(S4), 11),
+    (lambda: from_permutations(A4), 5),
+    (lambda: from_permutations(A5), 9),
+], ids=["E(2^4)", "E(3^3)", "E(2^5)", "S4", "A4", "A5"])
+def test_subgroup_class_counts_and_invariants(make, count):
+    G = make()
+    classes = subgroup_classes(G)
+    assert len(classes) == count
+    # ids follow (order, sorted elements); each rep is its least conjugate
+    keys = [(C.order, list(C.rep)) for C in classes]
+    assert keys == sorted(keys)
+    assert [C.class_id for C in classes] == list(range(count))
+    class_of = {}
+    for C in classes:
+        rep = frozenset(C.rep)
+        assert G.is_subgroup(rep)
+        assert list(C.rep) == min(sorted(G.conjugate_set(g, rep))
+                                  for g in range(G.n))
+        for g in range(G.n):
+            # no conjugate of one representative is another representative
+            assert class_of.setdefault(G.conjugate_set(g, rep),
+                                       C.class_id) == C.class_id
+    for C in classes:
+        gens, span = [], frozenset({G.identity})
+        for x in C.rep:
+            if x not in span:
+                gens.append(x)
+                span = G.closure(gens)
+        assert span == frozenset(C.rep)
+        for g in range(G.n):
+            assert G.closure(gens + [g]) in class_of
+
+
 def test_class_ids_are_canonical(q8):
     cyc = subgroup_classes(q8, cyclic_only=True)
     full = {C.class_id: C.rep for C in subgroup_classes(q8)}
@@ -54,6 +98,9 @@ def test_sylow_of_cyclic(z9):
     C = subgroup_class_of(z9, range(9))
     assert C.sylow(3).order == 9
     assert C.sylow(2).order == 1
+    for p in (0, 1, 4):
+        with pytest.raises(GroupError, match=f"p = {p} is not a prime"):
+            C.sylow(p)
 
 
 def test_subgroup_names(q8):
