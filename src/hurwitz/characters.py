@@ -266,6 +266,7 @@ def character_table(G: FiniteGroup):
     Works modulo a prime q = 1 (mod exponent(G)), splits the common
     eigenspaces of the class-multiplication matrices, and lifts eigenvalues
     to cyclotomics through discrete logarithms of roots of unity mod q.
+    Every eigenspace basis is kept in reduced row echelon form.
     """
     if G._char_table is not None:
         return G._char_table
@@ -274,24 +275,25 @@ def character_table(G: FiniteGroup):
     e = G.exponent()
     q = _lifting_prime(G.n, e)
     mats = _class_matrices(G, q)
-    spaces = [[_unit_vec(k, i, q) for i in range(k)]]
+    spaces = [([[int(i == j) for j in range(k)] for i in range(k)],
+               list(range(k)))]
     for M in mats[1:]:
         nxt = []
-        for basis in spaces:
-            if len(basis) == 1:
-                nxt.append(basis)
+        for space in spaces:
+            if len(space[0]) == 1:
+                nxt.append(space)
                 continue
-            nxt.extend(_split_space(basis, M, q))
+            nxt.extend(_split_space(space, M, q))
         spaces = nxt
-        if all(len(b) == 1 for b in spaces):
+        if all(len(b) == 1 for b, _ in spaces):
             break
-    if not all(len(b) == 1 for b in spaces):
+    if not all(len(b) == 1 for b, _ in spaces):
         raise CharacterError("eigenspace splitting incomplete")
     inv_cls = [G.inverse_class(i) for i in range(k)]
     sizes = [len(c) for c in classes]
     z = _primitive_root_of_unity(q, e)
     chars = []
-    for (vec,) in spaces:
+    for (vec,), _ in spaces:
         if vec[0] == 0:
             raise CharacterError("degenerate eigenvector")
         inv0 = pow(vec[0], q - 2, q)
@@ -301,9 +303,10 @@ def character_table(G: FiniteGroup):
             t = (t + omega[j] * omega[inv_cls[j]] *
                  pow(sizes[j], q - 2, q)) % q
         d2 = G.n * pow(t, q - 2, q) % q
-        r = _sqrt_mod(d2, q)
-        d = min(r, q - r)
-        if d * d > G.n:
+        # q > 2 sqrt(n) n, so the degree d <= sqrt(n) is fixed by d^2 mod q
+        d = next((d for d in range(1, math.isqrt(G.n) + 1)
+                  if d * d % q == d2), None)
+        if d is None:
             raise CharacterError("degree lifting failed")
         x = [d * omega[j] * pow(sizes[j], q - 2, q) % q for j in range(k)]
         chars.append(_lift_character(G, x, d, z, e, q))
@@ -348,12 +351,11 @@ def _lift_character(G, xmod, degree, z, e, q):
 
 
 def _lifting_prime(n: int, e: int) -> int:
-    bound = 2 * math.isqrt(n) * n
-    q = e + 1
-    while True:
-        if q > bound and q % e == 1 and is_prime(q):
-            return q
-        q += e if q % e == 1 else (e - (q - 1) % e)
+    """The least prime q = 1 (mod e) above 2 sqrt(n) n."""
+    q = max(1, -(-2 * math.isqrt(n) * n // e)) * e + 1
+    while not is_prime(q):
+        q += e
+    return q
 
 
 def _class_matrices(G: FiniteGroup, q: int):
@@ -374,238 +376,125 @@ def _class_matrices(G: FiniteGroup, q: int):
     return mats
 
 
-def _unit_vec(k, i, q):
-    v = [0] * k
-    v[i] = 1
-    return v
-
-
-def _mat_apply(M, v, q):
-    return [sum(M[l][j] * v[j] for j in range(len(v))) % q
-            for l in range(len(M))]
-
-
-def _solve_in_basis(basis, w, q):
-    """Coordinates of w in span(basis) over F_q, or None."""
-    k = len(w)
-    d = len(basis)
-    rows = [[basis[j][i] for j in range(d)] + [w[i]] for i in range(k)]
-    piv = []
-    r = 0
-    for c in range(d):
-        pr = next((i for i in range(r, k) if rows[i][c] % q), None)
+def _rref_mod(rows, q):
+    """Reduced row echelon form over F_q: (nonzero rows, pivot columns)."""
+    rows = list(rows)
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = pow(rows[r][c], q - 2, q)
         rows[r] = [x * inv % q for x in rows[r]]
-        for i in range(k):
-            if i != r and rows[i][c] % q:
-                f = rows[i][c]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and f:
                 rows[i] = [(x - f * y) % q for x, y in zip(rows[i], rows[r])]
-        piv.append(c)
-        r += 1
-    for i in range(r, k):
-        if rows[i][-1] % q:
-            return None
-    sol = [0] * d
-    for i, c in enumerate(piv):
-        sol[c] = rows[i][-1]
-    return sol
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
 
 
-def _split_space(basis, M, q):
-    """Split an M-invariant subspace into eigenspaces of M."""
+def _split_space(space, M, q):
+    """Split an M-invariant subspace, given as (echelon basis, pivots),
+    into the eigenspaces of M, each again in echelon form."""
+    basis, pivots = space
     d = len(basis)
+    # R[i][j]: M b_i = sum_j R[i][j] b_j, read off at the pivot columns
     R = []
     for b in basis:
-        w = _mat_apply(M, b, q)
-        coords = _solve_in_basis(basis, w, q)
-        if coords is None:
+        w = [sum(x * y for x, y in zip(row, b)) % q for row in M]
+        coords = [w[p] for p in pivots]
+        if w != _combine(coords, basis, q):
             raise CharacterError("class matrix does not preserve subspace")
         R.append(coords)
-    # R[i][j]: M b_i = sum_j R[i][j] b_j; transpose to act on coordinates
-    A = [[R[j][i] % q for j in range(d)] for i in range(d)]
-    charpoly = _charpoly_mod(A, q)
+    # transpose to act on coordinates
+    A = [list(col) for col in zip(*R)]
     out = []
-    for lam in _poly_roots_mod(charpoly, q):
-        null = _nullspace_mod(
+    for lam in _roots_mod(_charpoly_mod(A, q), q):
+        rows, piv = _rref_mod(
             [[(A[i][j] - (lam if i == j else 0)) % q for j in range(d)]
              for i in range(d)], q)
         vecs = []
-        for coords in null:
-            v = [0] * len(basis[0])
-            for cj, b in zip(coords, basis):
-                for i in range(len(v)):
-                    v[i] = (v[i] + cj * b[i]) % q
-            vecs.append(v)
+        for fc in (c for c in range(d) if c not in piv):
+            coords = [0] * d
+            coords[fc] = 1
+            for row, pc in zip(rows, piv):
+                coords[pc] = -row[fc] % q
+            vecs.append(_combine(coords, basis, q))
         if vecs:
-            out.append(vecs)
-    if sum(len(v) for v in out) != d:
+            out.append(_rref_mod(vecs, q))
+    if sum(len(b) for b, _ in out) != d:
         raise CharacterError("eigen splitting lost dimensions")
     return out
 
 
+def _combine(coords, basis, q):
+    """sum_j coords[j] basis[j] over F_q."""
+    return [sum(c * x for c, x in zip(coords, col)) % q
+            for col in zip(*basis)]
+
+
 def _charpoly_mod(A, q):
-    """det(xI - A) over F_q via evaluation/interpolation."""
-    d = len(A)
-    xs = list(range(d + 1))
-    ys = [_det_mod([[((x if i == j else 0) - A[i][j]) % q
-                     for j in range(d)] for i in range(d)], q) for x in xs]
-    # Lagrange interpolation
-    coeffs = [0] * (d + 1)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        num = [1]
-        den = 1
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            num = _polymul_mod(num, [(-xj) % q, 1], q)
-            den = den * (xi - xj) % q
-        f = yi * pow(den, q - 2, q) % q
-        for t, c in enumerate(num):
-            coeffs[t] = (coeffs[t] + f * c) % q
-    return coeffs
+    """det(xI - A) over F_q, lowest degree first: A is reduced to upper
+    Hessenberg form H by similarity, then det(xI - H) is expanded along the
+    subdiagonal (Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 2.2.9)."""
+    H = [row[:] for row in A]
+    d = len(H)
+    for m in range(1, d - 1):
+        i = next((i for i in range(m, d) if H[i][m - 1]), None)
+        if i is None:
+            continue    # column m - 1 is already zero below the subdiagonal
+        if i != m:
+            H[i], H[m] = H[m], H[i]
+            for row in H:
+                row[i], row[m] = row[m], row[i]
+        inv = pow(H[m][m - 1], q - 2, q)
+        for i in range(m + 1, d):
+            u = H[i][m - 1] * inv % q
+            if u:
+                H[i] = [(x - u * y) % q for x, y in zip(H[i], H[m])]
+                for row in H:
+                    row[m] = (row[m] + u * row[i]) % q
+    # P[m] = det(xI - H[:m, :m])
+    P = [[1]]
+    for m in range(d):
+        p = [0] + P[m]
+        for s, a in enumerate(P[m]):
+            p[s] = (p[s] - H[m][m] * a) % q
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * H[i + 1][i] % q
+            if not t:
+                break
+            c = t * H[i][m] % q
+            for s, a in enumerate(P[i]):
+                p[s] = (p[s] - c * a) % q
+        P.append(p)
+    return P[d]
 
 
-def _polymul_mod(a, b, q):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % q
-    return out
-
-
-def _det_mod(A, q):
-    A = [row[:] for row in A]
-    d = len(A)
-    det = 1
-    for c in range(d):
-        pr = next((i for i in range(c, d) if A[i][c] % q), None)
-        if pr is None:
-            return 0
-        if pr != c:
-            A[c], A[pr] = A[pr], A[c]
-            det = -det
-        det = det * A[c][c] % q
-        inv = pow(A[c][c], q - 2, q)
-        for i in range(c + 1, d):
-            f = A[i][c] * inv % q
-            if f:
-                A[i] = [(x - f * y) % q for x, y in zip(A[i], A[c])]
-    return det % q
-
-
-def _poly_roots_mod(coeffs, q):
-    """Roots (with multiplicity ignored) of a polynomial over F_q, by
-    deflation; the relevant polynomials split completely."""
+def _roots_mod(coeffs, q):
+    """Distinct roots in F_q of a polynomial given lowest degree first."""
     roots = []
-    c = [x % q for x in coeffs]
-    while len(c) > 1:
-        lam = next((x for x in range(q) if _poly_eval_mod(c, x, q) == 0), None)
-        if lam is None:
-            break
-        if lam not in roots:
-            roots.append(lam)
-        c = _poly_deflate_mod(c, lam, q)
-    return sorted(roots)
-
-
-def _poly_eval_mod(c, x, q):
-    acc = 0
-    for coef in reversed(c):
-        acc = (acc * x + coef) % q
-    return acc
-
-
-def _poly_deflate_mod(c, lam, q):
-    out = [0] * (len(c) - 1)
-    acc = 0
-    for i in range(len(c) - 1, 0, -1):
-        acc = (acc * lam + c[i]) % q
-        out[i - 1] = acc
-    return out
-
-
-def _nullspace_mod(A, q):
-    d = len(A)
-    rows = [row[:] for row in A]
-    piv_cols = []
-    r = 0
-    for c in range(d):
-        pr = next((i for i in range(r, d) if rows[i][c] % q), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][c], q - 2, q)
-        rows[r] = [x * inv % q for x in rows[r]]
-        for i in range(d):
-            if i != r and rows[i][c] % q:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % q for x, y in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-    free = [c for c in range(d) if c not in piv_cols]
-    basis = []
-    for fc in free:
-        v = [0] * d
-        v[fc] = 1
-        for i, pc in enumerate(piv_cols):
-            v[pc] = (-rows[i][fc]) % q
-        basis.append(v)
-    return basis
+    for x in range(q):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * x + c) % q
+        if not acc:
+            roots.append(x)
+    return roots
 
 
 def _primitive_root_of_unity(q, e):
-    g = _primitive_root(q)
-    return pow(g, (q - 1) // e, q)
-
-
-def _primitive_root(q):
-    factors = _prime_factors(q - 1)
-    for g in range(2, q):
-        if all(pow(g, (q - 1) // f, q) != 1 for f in factors):
-            return g
-    raise CharacterError("no primitive root found")
-
-
-def _prime_factors(n):
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
-
-
-def _sqrt_mod(a, q):
-    """Tonelli-Shanks square root mod an odd prime q."""
-    a %= q
-    if a == 0:
-        return 0
-    if pow(a, (q - 1) // 2, q) != 1:
-        raise CharacterError("not a quadratic residue")
-    if q % 4 == 3:
-        return pow(a, (q + 1) // 4, q)
-    s, t = 0, q - 1
-    while t % 2 == 0:
-        s += 1
-        t //= 2
-    z = next(x for x in range(2, q) if pow(x, (q - 1) // 2, q) == q - 1)
-    m, c, u, r = s, pow(z, t, q), pow(a, t, q), pow(a, (t + 1) // 2, q)
-    while u != 1:
-        i, x = 0, u
-        while x != 1:
-            x = x * x % q
-            i += 1
-        b = pow(c, 1 << (m - i - 1), q)
-        m, c = i, b * b % q
-        u, r = u * c % q, r * b % q
-    return r
+    """The least g in F_q whose power g^((q-1)/e) has order exactly e."""
+    for g in range(1, q):
+        z = pow(g, (q - 1) // e, q)
+        if all(pow(z, e // r, q) != 1 for r in range(2, e + 1) if e % r == 0):
+            return z
+    raise CharacterError("no primitive root of unity found")
 
 
 # -- positivity --

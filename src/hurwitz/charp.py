@@ -1,6 +1,6 @@
-"""Local actions in characteristic p: finite-field arithmetic by explicit
-tables (q <= 256), truncated power series over F_q, and the local Artin
-character a(sigma) = -ord_z(sigma(z) - z)."""
+"""Local actions in characteristic p: finite-field arithmetic on base-p
+digit lists (q <= 256), truncated power series over F_q, and the local
+Artin character a(sigma) = -ord_z(sigma(z) - z)."""
 
 from __future__ import annotations
 
@@ -147,7 +147,7 @@ class GF:
 
 
 class SeriesP:
-    """Truncated series over a GF table; coefficient i of z^i, known
+    """Truncated series over a GF field; coefficient i of z^i, known
     modulo z^precision."""
 
     __slots__ = ("gf", "coeffs", "precision")

@@ -21,7 +21,7 @@ from .disk import (DiskError, PrecisionError, artin_character,
 from .files import (FileFormatError, class_function_json, format_cyclotomic,
                     format_rational, lifted_tree_dot, load_action_file,
                     load_char_file, load_json, load_tree_file,
-                    parse_cyclotomic, parse_rational, report_json,
+                    parse_class_function, parse_rational, report_json,
                     report_text, resolve_group, tree_dot, tree_json)
 from .groups import GroupError, subgroup_classes
 from .localfield import FieldError
@@ -217,7 +217,7 @@ def cmd_disk_breaks(args) -> int:
 def cmd_disk_shift(args) -> int:
     action = load_action_file(args.file, precision=args.precision)
     eps = parse_rational(args.eps)
-    center = parse_cyclotomic(args.center)
+    center = Cyclotomic.from_rational(parse_rational(args.center))
     rep = boundary_shift_check(action, eps, center)
     payload = {
         "ok": rep.ok,
@@ -246,7 +246,6 @@ def cmd_obstruct_bertin(args) -> int:
 def _load_char(path, group_ref):
     if group_ref is None:
         return load_char_file(path)
-    from .characters import ClassFunction
     data = load_json(path)
     G = resolve_group(group_ref, ".")
     values = data.get("values", [])
@@ -254,7 +253,7 @@ def _load_char(path, group_ref):
         raise FileFormatError(
             f"{path}: need one value per conjugacy class "
             f"({len(G.conjugacy_classes())})")
-    return ClassFunction(G, [parse_cyclotomic(v) for v in values])
+    return parse_class_function(G, values)
 
 
 def cmd_obstruct_hurwitz(args) -> int:

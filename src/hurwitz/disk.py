@@ -89,7 +89,7 @@ class DiskAction:
             g = queue.pop(0)
             for s, ms in gens.items():
                 h = G.mul(g, s)
-                cand = self._compose(maps[g], ms)
+                cand = maps[g].compose(ms)
                 if maps[h] is None:
                     maps[h] = cand
                     queue.append(h)
@@ -99,9 +99,6 @@ class DiskAction:
         if any(m is None for m in maps):
             raise DiskError("the named generators do not generate the group")
         return maps
-
-    def _compose(self, f: Automorphism, g: Automorphism) -> Automorphism:
-        return f.compose(g)
 
     def _equal(self, f: Automorphism, g: Automorphism) -> bool:
         if self.kind == "mobius":

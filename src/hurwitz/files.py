@@ -9,6 +9,7 @@ either an inline builder object or a path to a group file.
 from __future__ import annotations
 
 import json
+import math
 import os
 from fractions import Fraction
 from typing import Dict, Optional, Union
@@ -49,7 +50,10 @@ def format_rational(q) -> str:
     return str(Fraction(q))
 
 
-def parse_cyclotomic(obj) -> Cyclotomic:
+def parse_cyclotomic(obj, conductor: int) -> Cyclotomic:
+    """A rational or a cyclotomic literal in Q(zeta_conductor), the ambient
+    field.  A literal whose conductor does not divide `conductor` is refused
+    before any arithmetic: its cost would grow with the conductor."""
     if isinstance(obj, dict):
         try:
             n = obj["conductor"]
@@ -63,6 +67,10 @@ def parse_cyclotomic(obj) -> Cyclotomic:
             raise FileFormatError(
                 f"cyclotomic object needs a positive integer conductor and "
                 f"a coeffs list: {obj!r}")
+        if conductor % n:
+            raise FileFormatError(
+                f"cyclotomic conductor {n} does not divide {conductor}, the "
+                f"conductor of the ambient field: {obj!r}")
         return Cyclotomic(n, [parse_rational(c) for c in coeffs])
     return Cyclotomic.from_rational(parse_rational(obj))
 
@@ -130,6 +138,12 @@ def parse_subgroup(G: FiniteGroup, name: str) -> SubgroupClass:
 
 # -- class functions --
 
+def parse_class_function(G: FiniteGroup, values) -> ClassFunction:
+    """One value per conjugacy class, each in Q(zeta_N), N = lcm(2, exp G)."""
+    N = math.lcm(2, G.exponent())
+    return ClassFunction(G, [parse_cyclotomic(v, N) for v in values])
+
+
 def load_char_file(path: str) -> ClassFunction:
     data = load_json(path)
     base = os.path.dirname(path) or "."
@@ -144,7 +158,7 @@ def load_char_file(path: str) -> ClassFunction:
         if list(data["classes"]) != reps:
             raise FileFormatError(
                 f"{path}: class labels must be {reps} in this order")
-    return ClassFunction(G, [parse_cyclotomic(v) for v in values])
+    return parse_class_function(G, values)
 
 
 def class_function_json(f: ClassFunction) -> dict:
@@ -212,7 +226,7 @@ def load_tree_file(path: str) -> HurwitzTree:
                 len(vals) != len(G.conjugacy_classes()):
             raise FileFormatError(f"{path}: delta_root needs one value "
                                   "per conjugacy class")
-        delta_root = ClassFunction(G, [parse_cyclotomic(v) for v in vals])
+        delta_root = parse_class_function(G, vals)
     return build_hurwitz_tree(T, G, p, monodromy, delta_root)
 
 
@@ -270,6 +284,7 @@ def load_action_file(path: str, precision: int = 24) -> DiskAction:
         field = CycloLocalField(field_spec["p"], field_spec["m"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: bad field spec: {exc}") from None
+    N = math.lcm(2, field.n)
     G = resolve_group(data.get("group"), base)
     gens = {}
     for name, desc in _container(data, "generators", dict, path).items():
@@ -283,12 +298,12 @@ def load_action_file(path: str, precision: int = 24) -> DiskAction:
                 raise FileFormatError(
                     f"{path}: generator {name!r} needs a 2x2 matrix"
                 ) from None
-            gens[name] = MobiusMap(parse_cyclotomic(a), parse_cyclotomic(b),
-                                   parse_cyclotomic(c), parse_cyclotomic(d))
+            gens[name] = MobiusMap(*(parse_cyclotomic(x, N)
+                                     for x in (a, b, c, d)))
         elif "series" in desc:
             spec = desc["series"]
             try:
-                coeffs = [parse_cyclotomic(c) for c in spec["coeffs"]]
+                coeffs = [parse_cyclotomic(c, N) for c in spec["coeffs"]]
             except (KeyError, TypeError):
                 raise FileFormatError(
                     f"{path}: series generator {name!r} needs a 'coeffs' "

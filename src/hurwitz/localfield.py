@@ -9,6 +9,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .cyclotomic import Cyclotomic, euler_phi
+from .groups import is_prime
 
 
 class FieldError(ValueError):
@@ -33,8 +34,9 @@ class CycloLocalField:
     so the valuation extends uniquely: val(x) = v_p(Norm(x)) / phi(p^m)."""
 
     def __init__(self, p: int, m: int):
-        if p < 2 or m < 1:
-            raise FieldError("need a prime p and level m >= 1")
+        if not is_prime(p) or not isinstance(m, int) or m < 1:
+            raise FieldError(f"need a prime p and level m >= 1, got "
+                             f"p = {p!r}, m = {m!r}")
         self.p = p
         self.m = m
         self.n = p ** m

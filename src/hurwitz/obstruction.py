@@ -366,7 +366,7 @@ def hurwitz_feasibility(G: FiniteGroup, p: int,
     for decomp in decomps:
         for shape in enumerate_shapes(G, list(decomp)):
             report.shapes_tried += 1
-            if _shape_is_lp_free(shape):
+            if shape[0] == "leaf":      # no internal edge: nothing for an LP
                 ht = _tame_single_leaf(G, p, shape)
                 if ht is not None:
                     report.verdict = "witness"
@@ -391,10 +391,6 @@ def hurwitz_feasibility(G: FiniteGroup, p: int,
                  "farkas": None if sol.lp is None else sol.lp.certificate,
                  "objective": None if sol.lp is None else sol.lp.objective})
     return report
-
-
-def _shape_is_lp_free(shape: Shape) -> bool:
-    return shape[0] == "leaf"
 
 
 def _tame_single_leaf(G: FiniteGroup, p: int,

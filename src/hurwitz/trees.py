@@ -261,7 +261,6 @@ def derive_depths(ht_tree: RootedMetricTree, monodromy, artin, delta_root,
     """Propagate depths from the root by (H4); return (depths, bad_leaves)
     where bad_leaves lists the leaves violating (H5)."""
     depths = {ht_tree.root: delta_root}
-    order = [ht_tree.root]
     stack = [ht_tree.root]
     while stack:
         v = stack.pop()

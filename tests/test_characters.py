@@ -1,16 +1,19 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from hurwitz.characters import (CharacterError, ClassFunction,
-                                augmentation_char, character_table,
-                                delta_mult, delta_mult_star, induce,
-                                inflate, inner_product, is_true_character,
-                                multiplicities, one_char, pair, regular_char,
-                                restrict, u_star)
+                                _charpoly_mod, augmentation_char,
+                                character_table, delta_mult, delta_mult_star,
+                                induce, inflate, inner_product,
+                                is_true_character, multiplicities, one_char,
+                                pair, regular_char, restrict, u_star)
 from hurwitz.cyclotomic import Cyclotomic
-from hurwitz.groups import cyclic, subgroup_class_of, subgroup_classes
+from hurwitz.groups import (cyclic, elementary_abelian, from_permutations,
+                            generalized_quaternion, subgroup_class_of,
+                            subgroup_classes)
 
 ONE = Cyclotomic.from_rational(1)
 ZERO = Cyclotomic.from_rational(0)
@@ -24,6 +27,64 @@ def test_table_row_orthonormality(q8, q16, d4, z9, klein):
             for j, psi in enumerate(chars):
                 expected = ONE if i == j else ZERO
                 assert inner_product(chi, psi) == expected
+
+
+S4 = [[1, 0, 2, 3], [1, 2, 3, 0]]          # (0 1), (0 1 2 3)
+A4 = [[1, 2, 0, 3], [0, 2, 3, 1]]          # (0 1 2), (1 2 3)
+A5 = [[1, 2, 0, 3, 4], [1, 2, 3, 4, 0]]    # (0 1 2), (0 1 2 3 4)
+
+
+# known degree multisets; A5 is not solvable, Q64 has 19 classes
+@pytest.mark.parametrize("make, degrees", [
+    (lambda: cyclic(1), [1]),
+    (lambda: from_permutations(S4), [1, 1, 2, 3, 3]),
+    (lambda: from_permutations(A4), [1, 1, 1, 3]),
+    (lambda: from_permutations(A5), [1, 3, 3, 4, 5]),
+    (lambda: generalized_quaternion(5), [1] * 4 + [2] * 15),
+    (lambda: elementary_abelian(2, 5), [1] * 32),
+], ids=["C1", "S4", "A4", "A5", "Q64", "E(2^5)"])
+def test_table_degrees_and_orthonormality(make, degrees):
+    G = make()
+    chars = character_table(G)
+    assert sorted(chi.degree().to_fraction() for chi in chars) == degrees
+    for i, chi in enumerate(chars):
+        for j, psi in enumerate(chars[i:], i):
+            assert inner_product(chi, psi) == (ONE if i == j else ZERO)
+
+
+def _leibniz_charpoly(A, q):
+    """det(xI - A) mod q, lowest degree first, summed over permutations."""
+    d = len(A)
+    total = [0] * (d + 1)
+    for perm in itertools.permutations(range(d)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(d) for j in range(i + 1, d))
+        term = [(-1) ** inversions]
+        for i, j in enumerate(perm):
+            entry = [-A[i][j], int(i == j)]     # x delta_ij - a_ij
+            term = [sum(term[s] * entry[t - s]
+                        for s in range(len(term)) if 0 <= t - s < 2)
+                    for t in range(len(term) + 1)]
+        total = [a + b for a, b in zip(total, term)]
+    return [c % q for c in total]
+
+
+def test_charpoly_matches_leibniz_expansion():
+    rng = random.Random(5)
+    # a 2+3 block upper triangular matrix: column 1 is zero below the
+    # subdiagonal, so the Hessenberg reduction skips it and goes on
+    block = [[3, 1, 4, 1, 5], [9, 2, 6, 5, 3], [0, 0, 5, 8, 9],
+             [0, 0, 7, 9, 3], [0, 0, 2, 3, 8]]
+    cases = [(block, 11), ([[0]], 7), ([], 7)]
+    for _ in range(60):
+        q = rng.choice((2, 3, 7, 101))
+        d = rng.randint(1, 5)
+        zeros = rng.random()        # sparse matrices force row swaps
+        cases.append(([[0 if rng.random() < zeros else rng.randrange(q)
+                        for _ in range(d)] for _ in range(d)], q))
+    for A, q in cases:
+        assert _charpoly_mod([row[:] for row in A], q) == \
+            _leibniz_charpoly(A, q), (A, q)
 
 
 def test_degrees_sum_of_squares(q8, q16, d4):

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import hurwitz
 from hurwitz.characters import augmentation_char
 from hurwitz.cli import main
 from hurwitz.cyclotomic import Cyclotomic
@@ -38,6 +42,15 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_fresh(args, timeout):
+    """`python args` in a new interpreter that imports this hurwitz package;
+    raises subprocess.TimeoutExpired after `timeout` seconds."""
+    src = os.path.dirname(os.path.dirname(hurwitz.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=timeout, env=env)
+
+
 # -- serialization units --
 
 def test_rational_round_trip():
@@ -52,7 +65,9 @@ def test_rational_round_trip():
 def test_cyclotomic_round_trip():
     x = Cyclotomic.zeta(8) + Cyclotomic.from_rational(Fraction(1, 2))
     enc = format_cyclotomic(x)
-    assert parse_cyclotomic(enc) == x
+    assert parse_cyclotomic(enc, 8) == x
+    with pytest.raises(FileFormatError, match="does not divide 4"):
+        parse_cyclotomic(enc, 4)
     assert format_cyclotomic(Cyclotomic.zeta(2)) == "-1"
 
 
@@ -278,3 +293,43 @@ def test_top_level_must_be_an_object(capsys, tmp_path):
         code, _, err = run(capsys, *argv, str(path))
         assert code == 64
         assert "JSON object" in err
+
+
+def test_cyclotomic_conductor_must_divide_the_field(write_json):
+    # a conductor this large would make the cyclotomic arithmetic run for
+    # minutes; it is refused before any of it starts
+    bad = write_json("c.json", {"group": Z2_REF, "values": [
+        {"conductor": 100003, "coeffs": ["1"]}, "-2"]})
+    res = run_fresh(["-m", "hurwitz.cli", "obstruct", "bertin", bad],
+                    timeout=5)
+    assert res.returncode == 64
+    assert "conductor 100003 does not divide 2" in res.stderr
+    assert "Traceback" not in res.stderr
+    act = json.loads(json.dumps(ACT_LIN4))      # Q(zeta_4): 8 is too big
+    act["generators"]["s"]["mobius"][0][0] = {"conductor": 8,
+                                              "coeffs": ["0", "0", "1"]}
+    res = run_fresh(["-m", "hurwitz.cli", "disk", "depth",
+                     write_json("act.json", act)], timeout=5)
+    assert res.returncode == 64
+    assert "conductor 8 does not divide 4" in res.stderr
+
+
+def test_action_field_needs_a_prime(write_json):
+    act = json.loads(json.dumps(ACT_LIN4))
+    act["field"] = {"p": 4, "m": 1}
+    res = run_fresh(["-m", "hurwitz.cli", "disk", "depth",
+                     write_json("act.json", act)], timeout=5)
+    assert res.returncode == 64
+    assert "need a prime p" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_quaternion_report_does_not_import_sympy():
+    # importing sympy costs about 0.45 s and 36 MB of peak RSS; other tests
+    # import it into this process, so the check runs in a new one
+    code = ("import sys\n"
+            "from hurwitz.cli import main\n"
+            "rc = main(['quaternion', '--n', '2', '--format', 'json'])\n"
+            "print('sympy' in sys.modules, rc, file=sys.stderr)\n")
+    res = run_fresh(["-c", code], timeout=300)
+    assert res.stderr.split()[-2:] == ["False", "3"], res.stderr
