@@ -11,7 +11,7 @@ from typing import Optional, Sequence, Union
 
 from .cyclotomic import Cyclotomic
 from .groups import FiniteGroup, GroupError, SubgroupClass, cyclic, \
-    is_prime, subgroup_as_group
+    is_prime, subgroup_as_group, valuation
 
 Rat = Union[int, Fraction]
 
@@ -216,7 +216,7 @@ def delta_mult_on(G: FiniteGroup, gen: int, p: int, m: int) -> ClassFunction:
     total = Fraction(0)
     for a in range(1, n):
         ga = G.power(gen, a)
-        i = _ord_p(a, p)
+        i = valuation(a, p)
         v = Fraction(-(p ** (i + 1)), p - 1)
         vals[ga] = v
         total += v
@@ -233,29 +233,13 @@ def delta_mult_star(C: SubgroupClass, p: int) -> ClassFunction:
         raise CharacterError(f"p = {p} is not a prime")
     P = C.sylow(p)
     H, embed = P.as_group()
-    m = _ord_p_order(P.order, p)
+    m = valuation(P.order, p)
+    if P.order != p ** m:
+        raise CharacterError("subgroup order is not a p-power")
     gen_h = 0 if P.order == 1 else \
         next(h for h in range(H.n) if H.order_of[h] == P.order)
     d = delta_mult_on(H, gen_h, p, m)
     return induce(d, C.group, embed)
-
-
-def _ord_p(a: int, p: int) -> int:
-    i = 0
-    while a % p == 0:
-        a //= p
-        i += 1
-    return i
-
-
-def _ord_p_order(n: int, p: int) -> int:
-    m = 0
-    while n % p == 0:
-        n //= p
-        m += 1
-    if n != 1:
-        raise CharacterError("subgroup order is not a p-power")
-    return m
 
 
 # -- character table (Dixon's modular method) --

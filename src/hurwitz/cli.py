@@ -20,9 +20,9 @@ from .disk import (DiskError, PrecisionError, artin_character,
                    boundary_shift_check, break_decomposition, depth_character)
 from .files import (FileFormatError, class_function_json, format_cyclotomic,
                     format_rational, lifted_tree_dot, load_action_file,
-                    load_char_file, load_json, load_tree_file,
-                    parse_class_function, parse_rational, report_json,
-                    report_text, resolve_group, tree_dot, tree_json)
+                    load_char_file, load_tree_file, parse_rational,
+                    report_json, report_text, resolve_group, tree_dot,
+                    tree_json)
 from .groups import GroupError, subgroup_classes
 from .localfield import FieldError
 from .lp import LPError
@@ -233,7 +233,7 @@ def cmd_disk_shift(args) -> int:
 
 
 def cmd_obstruct_bertin(args) -> int:
-    a = _load_char(args.file, args.group)
+    a = load_char_file(args.file, args.group)
     decomps = bertin_check(a)
     payload = {
         "vanishes": bool(decomps),
@@ -243,21 +243,8 @@ def cmd_obstruct_bertin(args) -> int:
     return EXIT_OK if decomps else EXIT_OBSTRUCTION
 
 
-def _load_char(path, group_ref):
-    if group_ref is None:
-        return load_char_file(path)
-    data = load_json(path)
-    G = resolve_group(group_ref, ".")
-    values = data.get("values", [])
-    if len(values) != len(G.conjugacy_classes()):
-        raise FileFormatError(
-            f"{path}: need one value per conjugacy class "
-            f"({len(G.conjugacy_classes())})")
-    return parse_class_function(G, values)
-
-
 def cmd_obstruct_hurwitz(args) -> int:
-    a = _load_char(args.file, args.group)
+    a = load_char_file(args.file, args.group)
     report = hurwitz_feasibility(a.group, args.p, a)
     payload = {
         "verdict": report.verdict,

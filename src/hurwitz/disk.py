@@ -56,7 +56,7 @@ class DiskAction:
     """
 
     def __init__(self, field: CycloLocalField, group: FiniteGroup,
-                 generator_maps: Dict[str, Automorphism], check: bool = True,
+                 generator_maps: Dict[str, Automorphism],
                  _maps: Optional[List[Automorphism]] = None):
         self.field = field
         self.group = group
@@ -65,9 +65,8 @@ class DiskAction:
             self.kind = "mobius" if isinstance(_maps[0], MobiusMap) else "series"
         else:
             self.maps = self._generate(generator_maps)
-        if check:
-            self._check_disk_preservation()
-            self._check_faithful()
+        self._check_disk_preservation()
+        self._check_faithful()
 
     def _generate(self, generator_maps) -> List[Automorphism]:
         G = self.group
@@ -336,7 +335,7 @@ def boundary_shift_check(action: DiskAction, eps: Fraction,
         raise DiskError("center must lie in the open disk")
 
     inner_maps = [m.conjugate_by_linear(alpha, center) for m in action.maps]
-    inner = DiskAction(K, G, {}, check=True, _maps=inner_maps)
+    inner = DiskAction(K, G, {}, _maps=inner_maps)
 
     d_outer = depth_character(action)
     d_inner = depth_character(inner)

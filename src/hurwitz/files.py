@@ -144,10 +144,14 @@ def parse_class_function(G: FiniteGroup, values) -> ClassFunction:
     return ClassFunction(G, [parse_cyclotomic(v, N) for v in values])
 
 
-def load_char_file(path: str) -> ClassFunction:
+def load_char_file(path: str, group_ref=None) -> ClassFunction:
+    """A class-function file on its "group", or on group_ref (resolved from
+    the working directory) when that is given."""
     data = load_json(path)
-    base = os.path.dirname(path) or "."
-    G = resolve_group(data.get("group"), base)
+    if group_ref is None:
+        G = resolve_group(data.get("group"), os.path.dirname(path) or ".")
+    else:
+        G = resolve_group(group_ref, ".")
     classes = G.conjugacy_classes()
     values = data.get("values")
     if not isinstance(values, list) or len(values) != len(classes):
@@ -155,7 +159,7 @@ def load_char_file(path: str) -> ClassFunction:
             f"{path}: need one value per conjugacy class ({len(classes)})")
     if "classes" in data:
         reps = [G.names[min(c)] for c in classes]
-        if list(data["classes"]) != reps:
+        if data["classes"] != reps:
             raise FileFormatError(
                 f"{path}: class labels must be {reps} in this order")
     return parse_class_function(G, values)

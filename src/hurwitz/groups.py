@@ -24,6 +24,15 @@ def is_prime(n) -> bool:
             and all(n % d for d in range(2, isqrt(n) + 1)))
 
 
+def valuation(n: int, p: int) -> int:
+    """Exponent of p in the nonzero integer n."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 class FiniteGroup:
     def __init__(self, table: Sequence[Sequence[int]], names=None,
                  generators=None, check: bool = True, canonicalize: bool = True):
@@ -400,11 +409,7 @@ def sylow_p_of_cyclic(C: SubgroupClass, p: int) -> SubgroupClass:
     if not is_prime(p):
         raise GroupError(f"p = {p} is not a prime")
     G = C.group
-    m = C.order
-    pk = 1
-    while m % p == 0:
-        m //= p
-        pk *= p
+    pk = p ** valuation(C.order, p)
     g = G.power(C.generator, C.order // pk) if C.generator is not None \
         else G.identity
     return subgroup_class_of(G, G.closure([g]))

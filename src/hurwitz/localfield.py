@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .cyclotomic import Cyclotomic, euler_phi
-from .groups import is_prime
+from .groups import is_prime, valuation
 
 
 class FieldError(ValueError):
@@ -18,15 +18,7 @@ class FieldError(ValueError):
 
 def _vp(q: Fraction, p: int) -> int:
     """p-adic valuation of a nonzero rational."""
-    v = 0
-    num, den = q.numerator, q.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return valuation(q.numerator, p) - valuation(q.denominator, p)
 
 
 class CycloLocalField:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .characters import (ClassFunction, character_table, induce, inflate,
                          is_true_character, one_char, pair)
@@ -18,8 +18,9 @@ from .groups import (FiniteGroup, SubgroupClass, contained_up_to_conjugacy,
                      subgroup_class_of, subgroup_classes)
 from .lp import LPResult, solve_lp
 from .trees import (HurwitzTree, RootedMetricTree, all_axioms_pass,
-                    build_hurwitz_tree, cached_delta_target, cached_u_star,
-                    validate)
+                    build_hurwitz_tree, cached_delta_target,
+                    cached_delta_target_mult, cached_u_star,
+                    cached_u_star_mult, validate)
 from .charp import klein_four_action, local_artin_character
 
 
@@ -87,23 +88,40 @@ Shape = tuple
 
 
 def _multiset_partitions(items: Tuple[int, ...]):
-    """Unordered partitions of a multiset into nonempty parts."""
-    seen = set()
-    n = len(items)
-    for assignment in itertools.product(range(n), repeat=n):
-        parts: Dict[int, list] = {}
-        for idx, part in enumerate(assignment):
-            parts.setdefault(part, []).append(items[idx])
-        canon = tuple(sorted(tuple(sorted(p)) for p in parts.values()))
-        if canon not in seen:
-            seen.add(canon)
-            yield canon
+    """Unordered partitions of a sorted multiset into nonempty parts, each
+    yielded once as a sorted tuple of sorted parts.  The parts come in
+    increasing order, so the first one holds the least item left and no
+    part is less than the one before it."""
+    def split(rest):
+        # (chosen, left) for every sub-multiset of the sorted tuple rest
+        if not rest:
+            yield (), ()
+            return
+        x = rest[0]
+        k = rest.count(x)
+        for chosen, left in split(rest[k:]):
+            for j in range(k + 1):
+                yield (x,) * j + chosen, (x,) * (k - j) + left
+
+    def parts_from(rest, least):
+        if not rest:
+            yield ()
+            return
+        for chosen, left in split(rest[1:]):
+            part = (rest[0],) + chosen
+            if part >= least:
+                for tail in parts_from(left, part):
+                    yield (part,) + tail
+
+    return parts_from(tuple(items), ())
 
 
 def enumerate_shapes(G: FiniteGroup,
                      leaves: Sequence[SubgroupClass]) -> List[Shape]:
     """All decorated subtree shapes below the trunk satisfying (H1), for the
     given multiset of leaf monodromy classes; top vertex class is [G]."""
+    if not leaves:
+        return []       # a tree has at least one leaf
     by_id = {C.class_id: C for C in subgroup_classes(G)}
     for C in leaves:
         by_id.setdefault(C.class_id, C)
@@ -144,32 +162,50 @@ def enumerate_shapes(G: FiniteGroup,
     return shapes(top.class_id, leaf_ids)
 
 
-def shape_to_topology(G: FiniteGroup, shape: Shape):
-    """Materialize a shape as (edges, monodromy, internal_edges, leaves);
-    vertex 0 is the root, vertex 1 the trunk target; edge thicknesses are
-    left symbolic (indices into the LP variable vector for internal edges).
-    """
-    by_id = {C.class_id: C for C in subgroup_classes(G)}
-    full = _full_class(G)
-    monodromy: Dict[int, SubgroupClass] = {0: full}
-    edges: List[Tuple[int, int, bool]] = []   # (src, tgt, is_leaf_edge)
-    counter = [0]
+class Topology(NamedTuple):
+    """A shape as a tree: vertex 0 is the root, vertex 1 the trunk target,
+    and the other vertices follow in preorder."""
+    edges: List[Tuple[int, int, bool]]      # (src, tgt, is_leaf_edge)
+    monodromy: Dict[int, SubgroupClass]     # per vertex
+    internal: List[int]                     # indices of internal edges
+    leaves: List[int]                       # leaf vertices, in preorder
+    path: Dict[int, List[int]]              # vertex -> internal edges above it
+    below: Dict[int, List[int]]             # edge -> leaf vertices below it
 
-    def build(parent: int, sh: Shape):
-        counter[0] += 1
-        v = counter[0]
-        monodromy[v] = by_id[sh[1]]
-        if sh[0] == "leaf":
-            edges.append((parent, v, True))
+
+def shape_to_topology(G: FiniteGroup, shape: Shape) -> Topology:
+    """Materialize a shape; edge thicknesses are left symbolic."""
+    by_id = {C.class_id: C for C in subgroup_classes(G)}
+    top = Topology([], {0: _full_class(G)}, [], [], {0: []}, {})
+
+    def build(parent: int, sh: Shape) -> List[int]:
+        e = len(top.edges)
+        v = e + 1
+        is_leaf = sh[0] == "leaf"
+        top.edges.append((parent, v, is_leaf))
+        top.monodromy[v] = by_id[sh[1]]
+        if is_leaf:
+            top.leaves.append(v)
+            top.path[v] = top.path[parent]
+            top.below[e] = [v]
         else:
-            edges.append((parent, v, False))
-            for child in sh[2]:
-                build(v, child)
+            top.internal.append(e)
+            top.path[v] = [e] + top.path[parent]
+            top.below[e] = [b for child in sh[2] for b in build(v, child)]
+        return top.below[e]
 
     build(0, shape)
-    internal = [i for i, (_, _, leaf) in enumerate(edges) if not leaf]
-    leaves = [t for (_, t, leaf) in edges if leaf]
-    return edges, monodromy, internal, leaves
+    return top
+
+
+def _hurwitz_tree(G: FiniteGroup, p: int, top: Topology,
+                  eps: Dict[int, Fraction],
+                  delta_root: Optional[ClassFunction] = None) -> HurwitzTree:
+    """The decorated tree of a topology with thickness eps[e] on each
+    internal edge e and 0 on the leaf edges."""
+    T = RootedMetricTree(0, [(s, t, Fraction(0) if leaf else eps[i])
+                             for i, (s, t, leaf) in enumerate(top.edges)])
+    return build_hurwitz_tree(T, G, p, top.monodromy, delta_root=delta_root)
 
 
 # -- metric feasibility by exact LP --
@@ -186,46 +222,22 @@ def solve_tree_metric(G: FiniteGroup, p: int, shape: Shape,
     """Decide whether the decorated shape carries strictly positive internal
     thicknesses making (H4)+(H5) hold with delta_root = 0 (or with any
     delta_root in the positive cone when delta_root_free)."""
-    edges, monodromy, internal, leaves = shape_to_topology(G, shape)
+    top = shape_to_topology(G, shape)
     chars = character_table(G)
     triv = next(i for i, c in enumerate(chars)
                 if c == one_char(G))
 
-    # per-edge Artin character and s_e = a_e - u*_{G_t(e)}
-    children: Dict[int, List[int]] = {}
-    for idx, (s, t, _) in enumerate(edges):
-        children.setdefault(s, []).append(idx)
-
-    def leaves_below(v: int) -> List[int]:
-        out = []
-        for e in children.get(v, []):
-            _, t, is_leaf = edges[e]
-            out.extend([t] if is_leaf else leaves_below(t))
-        return out
-
+    # multiplicities of s_e = a_e - u*_{G_t(e)} per internal edge, where a_e
+    # is the sum of u* over the leaves below e; pairing is linear, so they
+    # are sums of the per-class vectors
     s_mult: Dict[int, List[Fraction]] = {}
-    for idx, (s, t, _) in enumerate(edges):
-        below = leaves_below(t) or [t]
-        a_e = None
-        for b in below:
-            term = cached_u_star(monodromy[b])
-            a_e = term if a_e is None else a_e + term
-        s_e = a_e - cached_u_star(monodromy[t])
-        s_mult[idx] = [pair(c, s_e) for c in chars]
+    for e in top.internal:
+        own = cached_u_star_mult(top.monodromy[top.edges[e][1]])
+        below = [cached_u_star_mult(top.monodromy[b]) for b in top.below[e]]
+        s_mult[e] = [sum(col) - m for col, m in zip(zip(*below), own)]
 
-    parent_edge: Dict[int, int] = {t: i for i, (s, t, _) in enumerate(edges)}
-
-    def path_internal(v: int) -> List[int]:
-        out = []
-        while v != 0:
-            e = parent_edge[v]
-            if e in internal:
-                out.append(e)
-            v = edges[e][0]
-        return out
-
-    nvar_eps = len(internal)
-    var_of = {e: i for i, e in enumerate(internal)}
+    nvar_eps = len(top.internal)
+    var_of = {e: i for i, e in enumerate(top.internal)}
     # one free root variable per conjugate orbit of nontrivial irreducibles,
     # so the recovered root depth (a rational combination chi + conj(chi))
     # pairs with both members of the orbit consistently
@@ -254,31 +266,29 @@ def solve_tree_metric(G: FiniteGroup, p: int, shape: Shape,
         rhs.append(Fraction(0))
         return rows[-1]
 
-    internal_vertices = sorted(v for v in monodromy
-                               if v != 0 and v not in leaves)
+    def path_row(v: int, i: int):
+        # sum over the internal edges above v of eps_e m_i(s_e) (+ root mult)
+        row = new_row()
+        for e in top.path[v]:
+            row[var_of[e]] = s_mult[e][i]
+        if i in free_idx:
+            row[free_idx[i]] = Fraction(1)
+
     # leaf equalities: sum_path eps m(s_e) (+ root mult) = m(delta_target)
-    for b in leaves:
-        target = cached_delta_target(monodromy[b], p)
+    for b in top.leaves:
+        target = cached_delta_target_mult(top.monodromy[b], p)
         for i in range(len(chars)):
-            row = new_row()
-            for e in path_internal(b):
-                row[var_of[e]] = s_mult[e][i]
-            if i in free_idx:
-                row[free_idx[i]] = Fraction(1)
-            rhs[-1] = pair(chars[i], target)
+            path_row(b, i)
+            rhs[-1] = target[i]
     # internal positivity: sum_path eps m(s_e) (+ root mult) - w = 0
     slack_rows = []
-    for v in internal_vertices:
+    for e in top.internal:
         for i in range(len(chars)):
-            row = new_row()
-            for e in path_internal(v):
-                row[var_of[e]] = s_mult[e][i]
-            if i in free_idx:
-                row[free_idx[i]] = Fraction(1)
+            path_row(top.edges[e][1], i)
             slack_rows.append(len(rows) - 1)
     # eps_e - t - sl = 0 ; t + u = 1
     eps_rows = []
-    for e in internal:
+    for e in top.internal:
         row = new_row()
         row[var_of[e]] = Fraction(1)
         row[t_var] = Fraction(-1)
@@ -307,10 +317,6 @@ def solve_tree_metric(G: FiniteGroup, p: int, shape: Shape,
     if res.objective == 0:
         return MetricSolution(None, res,
                               "no strictly positive thickness assignment")
-    eps_vals = {e: res.x[var_of[e]] for e in internal}
-    tree_edges = [(s, t, Fraction(0) if leaf else eps_vals[i])
-                  for i, (s, t, leaf) in enumerate(edges)]
-    T = RootedMetricTree(0, tree_edges)
     delta_root = None
     if delta_root_free:
         acc = ClassFunction(G, [0] * len(G.conjugacy_classes()))
@@ -319,7 +325,8 @@ def solve_tree_metric(G: FiniteGroup, p: int, shape: Shape,
             if coeff:
                 acc = acc + coeff * _rational_irreducible_part(chars, i)
         delta_root = acc
-    ht = build_hurwitz_tree(T, G, p, monodromy, delta_root=delta_root)
+    ht = _hurwitz_tree(G, p, top, {e: res.x[var_of[e]] for e in top.internal},
+                       delta_root)
     report = validate(ht)
     if not all_axioms_pass(report):
         raise ObstructionError(f"witness failed validation: {report}")
@@ -367,7 +374,7 @@ def hurwitz_feasibility(G: FiniteGroup, p: int,
         for shape in enumerate_shapes(G, list(decomp)):
             report.shapes_tried += 1
             if shape[0] == "leaf":      # no internal edge: nothing for an LP
-                ht = _tame_single_leaf(G, p, shape)
+                ht = _tame_single_leaf(G, p, shape_to_topology(G, shape))
                 if ht is not None:
                     report.verdict = "witness"
                     report.witness = ht
@@ -394,13 +401,10 @@ def hurwitz_feasibility(G: FiniteGroup, p: int,
 
 
 def _tame_single_leaf(G: FiniteGroup, p: int,
-                      shape: Shape) -> Optional[HurwitzTree]:
-    edges, monodromy, internal, leaves = shape_to_topology(G, shape)
-    b = leaves[0]
-    if not cached_delta_target(monodromy[b], p).is_zero():
+                      top: Topology) -> Optional[HurwitzTree]:
+    if not cached_delta_target(top.monodromy[top.leaves[0]], p).is_zero():
         return None
-    T = RootedMetricTree(0, [(0, 1, Fraction(0))])
-    ht = build_hurwitz_tree(T, G, p, monodromy)
+    ht = _hurwitz_tree(G, p, top, {})
     if not all_axioms_pass(validate(ht)):
         return None
     return ht
@@ -425,20 +429,16 @@ def grid_feasibility(G: FiniteGroup, p: int, a: ClassFunction,
     for decomp in decomps:
         for shape in enumerate_shapes(G, list(decomp)):
             report.shapes_tried += 1
-            edges, monodromy, internal, leaves = shape_to_topology(G, shape)
-            if not internal:
-                ht = _tame_single_leaf(G, p, shape)
+            top = shape_to_topology(G, shape)
+            if not top.internal:
+                ht = _tame_single_leaf(G, p, top)
                 if ht is not None:
                     report.verdict = "witness"
                     report.witness = ht
                     return report
                 continue
-            for combo in itertools.product(values, repeat=len(internal)):
-                eps = dict(zip(internal, combo))
-                tree_edges = [(s, t, Fraction(0) if leaf else eps[i])
-                              for i, (s, t, leaf) in enumerate(edges)]
-                ht = build_hurwitz_tree(RootedMetricTree(0, tree_edges),
-                                        G, p, monodromy)
+            for combo in itertools.product(values, repeat=len(top.internal)):
+                ht = _hurwitz_tree(G, p, top, dict(zip(top.internal, combo)))
                 if all_axioms_pass(validate(ht)) and \
                         ht.artin_character == a and \
                         ht.depth_character.is_zero():

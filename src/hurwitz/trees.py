@@ -10,9 +10,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .characters import ClassFunction, augmentation_char, delta_mult_star, \
-    inner_product, is_positive_rational, is_true_character, one_char, pair, \
-    u_star
+from .characters import ClassFunction, augmentation_char, \
+    character_table, delta_mult_star, is_positive_rational, \
+    is_true_character, one_char, pair, u_star
 from .groups import FiniteGroup, SubgroupClass, contained_up_to_conjugacy, \
     subgroup_class_of
 
@@ -116,21 +116,39 @@ class HurwitzTree:
         return self.depth[self.tree.root]
 
 
-# -- decoration caches --
+# -- decoration caches, kept per group in its _subgroup_cache --
+#
+# A multiplicity vector lists <chi, f> for chi in character_table(G); by
+# linearity, the vector of a sum of u*'s is the sum of their vectors.
+
+def _cached(C: SubgroupClass, name: str, key, make):
+    cache = C.group._subgroup_cache.setdefault(name, {})
+    if key not in cache:
+        cache[key] = make()
+    return cache[key]
+
+
+def _mults(f: ClassFunction) -> List[Fraction]:
+    return [pair(chi, f) for chi in character_table(f.group)]
+
 
 def cached_u_star(C: SubgroupClass) -> ClassFunction:
-    cache = C.group._subgroup_cache.setdefault("u_star", {})
-    if C.class_id not in cache:
-        cache[C.class_id] = u_star(C)
-    return cache[C.class_id]
+    return _cached(C, "u_star", C.class_id, lambda: u_star(C))
 
 
 def cached_delta_target(C: SubgroupClass, p: int) -> ClassFunction:
-    cache = C.group._subgroup_cache.setdefault("delta_target", {})
-    key = (C.class_id, p)
-    if key not in cache:
-        cache[key] = delta_mult_star(C, p)
-    return cache[key]
+    return _cached(C, "delta_target", (C.class_id, p),
+                   lambda: delta_mult_star(C, p))
+
+
+def cached_u_star_mult(C: SubgroupClass) -> List[Fraction]:
+    return _cached(C, "u_star_mult", C.class_id,
+                   lambda: _mults(cached_u_star(C)))
+
+
+def cached_delta_target_mult(C: SubgroupClass, p: int) -> List[Fraction]:
+    return _cached(C, "delta_target_mult", (C.class_id, p),
+                   lambda: _mults(cached_delta_target(C, p)))
 
 
 # -- axiom validation --

@@ -179,6 +179,39 @@ def test_obstruct_exit_codes(capsys, write_json):
     assert json.loads(out)["verdict"] == "infeasible"
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_obstruct_zero_character_is_infeasible(capsys, write_json, n):
+    # the zero character's one Bertin decomposition is empty, and no tree
+    # has zero leaves, so no shape is tried
+    zero = write_json("z.json", {"group": {"builder": "cyclic",
+                                           "params": {"n": n}},
+                                 "values": ["0"] * n})
+    code, out, err = run(capsys, "obstruct", "hurwitz", zero, "--p", "2",
+                         "--format", "json")
+    assert code == 3, err
+    payload = json.loads(out)
+    assert payload["verdict"] == "infeasible"
+    assert payload["shapes_tried"] == 0
+
+
+@pytest.mark.parametrize("argv", [["bertin"], ["hurwitz", "--p", "2"]],
+                         ids=["bertin", "hurwitz"])
+def test_obstruct_group_option_checks_the_file(capsys, write_json, argv):
+    group = write_json("g.json", Z2_REF)
+    good = write_json("a.json", {"values": ["2", "-2"]})
+    code, _, err = run(capsys, "obstruct", argv[0], good, "--group", group,
+                       *argv[1:])
+    assert code == 0, err
+    for bad in ({"values": 5}, {"values": ["2"]},
+                {"values": ["2", "-2"], "classes": ["x", "y"]},
+                {"values": ["2", "-2"], "classes": 5}):
+        path = write_json("b.json", bad)
+        code, _, err = run(capsys, "obstruct", argv[0], path, "--group",
+                           group, *argv[1:])
+        assert code == 64, bad
+        assert "Traceback" not in err
+
+
 def test_obstruct_witness_emission(capsys, tmp_path, write_json):
     feas = write_json("f.json", {"group": Z2_REF, "values": ["2", "-2"]})
     wit = str(tmp_path / "wit.json")
