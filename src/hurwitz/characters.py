@@ -95,9 +95,6 @@ class ClassFunction:
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.values)
 
-    def is_rational_valued(self) -> bool:
-        return all(v.is_rational() for v in self.values)
-
     def is_conjugation_symmetric(self) -> bool:
         """Value at the inverse class equals the complex conjugate value."""
         G = self.group
@@ -167,18 +164,6 @@ def induce(chi: ClassFunction, G: FiniteGroup, embed: Sequence[int]
                 total = total + chi.values[chi.group.class_of(image[y])]
         vals.append(total * inv_order)
     return ClassFunction(G, vals)
-
-
-def induce_from_class(chi: ClassFunction, C: SubgroupClass) -> ClassFunction:
-    H, embed = C.as_group()
-    if chi.group is not H:
-        raise CharacterError("character not on the class representative")
-    return induce(chi, C.group, embed)
-
-
-def restrict_to_class(chi: ClassFunction, C: SubgroupClass) -> ClassFunction:
-    H, embed = C.as_group()
-    return restrict(chi, H, embed)
 
 
 def u_star(C: SubgroupClass) -> ClassFunction:

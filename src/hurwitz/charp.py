@@ -9,7 +9,8 @@ from typing import Dict, List, Sequence, Tuple
 
 from .characters import ClassFunction
 from .disk import PrecisionError
-from .groups import FiniteGroup, elementary_abelian, is_prime
+from .groups import (FiniteGroup, GroupError, elementary_abelian,
+                     extend_from_generators, is_prime)
 
 
 class CharPError(ValueError):
@@ -200,9 +201,6 @@ class SeriesP:
                 return i
         raise PrecisionError("series vanishes to working precision")
 
-    def is_zero_to_precision(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def __eq__(self, other):
         prec = min(self.precision, other.precision)
         return self.coeffs[:prec] == other.coeffs[:prec]
@@ -237,23 +235,12 @@ class LocalAction:
             if s.coeffs[1] == 0:
                 raise CharPError("linear coefficient must be a unit")
         prec = min((s.precision for s in gens.values()), default=4)
-        maps: List[SeriesP] = [None] * group.n
-        maps[group.identity] = SeriesP.z(gf, prec)
-        queue = [group.identity]
-        while queue:
-            g = queue.pop(0)
-            for s, ms in gens.items():
-                h = group.mul(g, s)
-                cand = maps[g].compose(ms)
-                if maps[h] is None:
-                    maps[h] = cand
-                    queue.append(h)
-                elif maps[h] != cand:
-                    raise CharPError(
-                        "generator series do not satisfy the group relations")
-        if any(m is None for m in maps):
-            raise CharPError("the named generators do not generate the group")
         zser = SeriesP.z(gf, prec)
+        try:
+            maps = extend_from_generators(group, gens, zser, SeriesP.compose,
+                                          SeriesP.__eq__)
+        except GroupError as exc:
+            raise CharPError(str(exc)) from None
         for g, m in enumerate(maps):
             if g != group.identity and m == zser:
                 raise CharPError(

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .characters import CharacterError, character_table, inner_product, pair
@@ -58,14 +57,6 @@ def _emit(args, payload: dict, dot: str = None) -> None:
         sys.stdout.write(report_json(payload))
     else:
         sys.stdout.write(report_text(payload) + "\n")
-
-
-def _scalar(x):
-    if isinstance(x, Cyclotomic):
-        return format_cyclotomic(x)
-    if isinstance(x, Fraction):
-        return format_rational(x)
-    return x
 
 
 # -- subcommands --

@@ -14,7 +14,8 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .characters import ClassFunction, augmentation_char, pair, u_star
 from .cyclotomic import Cyclotomic
-from .groups import FiniteGroup, subgroup_class_of
+from .groups import (FiniteGroup, GroupError, extend_from_generators,
+                     subgroup_class_of)
 from .localfield import (CycloLocalField, FieldError, MobiusMap,
                          TruncatedSeries, gauss_valuation_poly,
                          weierstrass_degree_poly)
@@ -78,26 +79,15 @@ class DiskAction:
         if len(kinds) != 1:
             raise DiskError("generators must all be Moebius or all series")
         self.kind = "mobius" if kinds == {MobiusMap} else "series"
-        maps: List[Optional[Automorphism]] = [None] * G.n
-        maps[G.identity] = (MobiusMap.identity() if self.kind == "mobius"
-                            else TruncatedSeries.z(
-                                self.field,
-                                min(s.precision for s in gens.values())))
-        queue = [G.identity]
-        while queue:
-            g = queue.pop(0)
-            for s, ms in gens.items():
-                h = G.mul(g, s)
-                cand = maps[g].compose(ms)
-                if maps[h] is None:
-                    maps[h] = cand
-                    queue.append(h)
-                elif not self._equal(maps[h], cand):
-                    raise DiskError(
-                        "generator maps do not satisfy the group relations")
-        if any(m is None for m in maps):
-            raise DiskError("the named generators do not generate the group")
-        return maps
+        identity = (MobiusMap.identity() if self.kind == "mobius"
+                    else TruncatedSeries.z(
+                        self.field, min(s.precision for s in gens.values())))
+        try:
+            return extend_from_generators(G, gens, identity,
+                                          lambda f, s: f.compose(s),
+                                          self._equal)
+        except GroupError as exc:
+            raise DiskError(str(exc)) from None
 
     def _equal(self, f: Automorphism, g: Automorphism) -> bool:
         if self.kind == "mobius":
@@ -168,14 +158,6 @@ class DiskAction:
             # cannot rule out an earlier-val tie beyond the last known term
             raise PrecisionError("Weierstrass degree at the precision edge")
         return deg
-
-    def inertia(self) -> frozenset:
-        """Elements acting trivially on the residue disk."""
-        out = {self.group.identity}
-        for g in range(self.group.n):
-            if g != self.group.identity and self.displacement_valuation(g) > 0:
-                out.add(g)
-        return frozenset(out)
 
 
 def depth_character(action: DiskAction) -> ClassFunction:

@@ -8,6 +8,7 @@ package ("least witness") resolve deterministically.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from math import gcd, isqrt, lcm
 from typing import Optional, Sequence
@@ -313,9 +314,7 @@ def subgroup_as_group(G: FiniteGroup, elems):
     embed = sorted(elems)
     index = {g: i for i, g in enumerate(embed)}
     table = [[index[G.table[a][b]] for b in embed] for a in embed]
-    gens = minimal_generating_set(G, elems)
     H = FiniteGroup(table, names=[G.names[g] for g in embed],
-                    generators=[index[g] for g in gens],
                     check=False, canonicalize=False)
     return H, embed
 
@@ -450,39 +449,50 @@ def quotient(G: FiniteGroup, normal_elems):
 
 # -- builders --
 
+def _from_law(identity, mul, gens) -> FiniteGroup:
+    """The group generated by gens, a list of (element, name) pairs, under
+    the multiplication mul of hashable normal forms. Only the generators
+    are named: canonicalization names every element by its shortest word.
+    Raw ids follow the sorted normal forms, which orders elements whose
+    words tie (two generators of one name)."""
+    seen = {identity}
+    queue = [identity]
+    for x in queue:
+        for g, _ in gens:
+            y = mul(x, g)
+            if y not in seen:
+                if len(seen) >= MAX_ORDER:
+                    raise GroupError("order bound exceeded")
+                seen.add(y)
+                queue.append(y)
+    elems = sorted(seen)
+    index = {x: i for i, x in enumerate(elems)}
+    table = [[index[mul(a, b)] for b in elems] for a in elems]
+    names = [None] * len(elems)
+    for g, name in gens:
+        names[index[g]] = name
+    names[index[identity]] = "1"
+    return FiniteGroup(table, names=names,
+                       generators=[index[g] for g, _ in gens], check=False)
+
+
 def cyclic(n: int) -> FiniteGroup:
     if n < 1 or n > MAX_ORDER:
         raise GroupError(f"cyclic order {n} out of range")
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    names = ["1"] + [f"s^{a}" if a > 1 else "s" for a in range(1, n)]
-    return FiniteGroup(table, names=names, generators=[1 % n], check=False)
+    return _from_law(0, lambda a, b: (a + b) % n, [(1 % n, "s")])
 
 
 def dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n (symmetries of the n-gon)."""
     if n < 1 or 2 * n > MAX_ORDER:
         raise GroupError("dihedral parameter out of range")
-    # elements r^a f^b with f r f = r^-1
-    def eid(a, b):
-        return a + n * b
 
-    table = [[0] * (2 * n) for _ in range(2 * n)]
-    for a, b in itertools.product(range(n), range(2)):
-        for c, d in itertools.product(range(n), range(2)):
-            aa = (a + c) % n if b == 0 else (a - c) % n
-            table[eid(a, b)][eid(c, d)] = eid(aa, (b + d) % 2)
-    names = [None] * (2 * n)
-    for a in range(n):
-        for b in range(2):
-            if a == 0 and b == 0:
-                s = "1"
-            elif a == 0:
-                s = "f"
-            else:
-                s = (f"r^{a}" if a > 1 else "r") + ("*f" if b else "")
-            names[eid(a, b)] = s
-    return FiniteGroup(table, names=names,
-                       generators=[eid(1 % n, 0), eid(0, 1)], check=False)
+    def mul(x, y):
+        # r^a f^b with f r f = r^-1
+        (a, b), (c, d) = x, y
+        return ((a - c if b else a + c) % n, (b + d) % 2)
+
+    return _from_law((0, 0), mul, [((1 % n, 0), "r"), ((0, 1), "f")])
 
 
 def generalized_quaternion(n: int) -> FiniteGroup:
@@ -493,39 +503,18 @@ def generalized_quaternion(n: int) -> FiniteGroup:
     N = 2 ** n
     if 2 * N > MAX_ORDER:
         raise GroupError("order bound exceeded")
-
-    # elements tau^a sigma^b, a < 2^n, b < 2
-    def eid(a, b):
-        return (a % N) + N * (b % 2)
-
-    table = [[0] * (2 * N) for _ in range(2 * N)]
     half = N // 2
-    for a in range(N):
-        for b in range(2):
-            for c in range(N):
-                for d in range(2):
-                    if b == 0:
-                        aa, bb = a + c, d
-                    else:
-                        # tau^a sigma tau^c sigma^d = tau^(a-c) sigma^(1+d)
-                        aa, bb = a - c, 1 + d
-                        if bb == 2:
-                            aa, bb = aa + half, 0
-                    table[eid(a, b)][eid(c, d)] = eid(aa, bb)
-    names = [None] * (2 * N)
-    for a in range(N):
-        for b in range(2):
-            if a == 0 and b == 0:
-                s = "1"
-            elif b == 0:
-                s = f"tau^{a}" if a > 1 else "tau"
-            elif a == 0:
-                s = "sigma"
-            else:
-                s = (f"tau^{a}" if a > 1 else "tau") + "*sigma"
-            names[eid(a, b)] = s
-    G = FiniteGroup(table, names=names, generators=[eid(1, 0), eid(0, 1)],
-                    check=False)
+
+    def mul(x, y):
+        # tau^a sigma^b; tau^a sigma tau^c sigma^d = tau^(a-c) sigma^(1+d)
+        (a, b), (c, d) = x, y
+        if not b:
+            return ((a + c) % N, d)
+        if not d:
+            return ((a - c) % N, 1)
+        return ((a - c + half) % N, 0)
+
+    G = _from_law((0, 0), mul, [((1, 0), "tau"), ((0, 1), "sigma")])
     # verify the presentation relations element-wise
     tau = G.element_by_name("tau")
     sigma = G.element_by_name("sigma")
@@ -539,123 +528,53 @@ def generalized_quaternion(n: int) -> FiniteGroup:
 
 
 def elementary_abelian(p: int, k: int) -> FiniteGroup:
-    if p ** k > MAX_ORDER:
+    if not isinstance(k, int) or k < 0 or p ** k > MAX_ORDER:
         raise GroupError("order bound exceeded")
-
-    n = p ** k
-
-    def digits(x):
-        return [(x // p ** i) % p for i in range(k)]
-
-    def undigits(d):
-        return sum(c * p ** i for i, c in enumerate(d))
-
-    table = [[undigits([(x + y) % p for x, y in zip(digits(a), digits(b))])
-              for b in range(n)] for a in range(n)]
-    names = []
-    for a in range(n):
-        d = digits(a)
-        parts = [f"e{i+1}" + (f"^{c}" if c > 1 else "")
-                 for i, c in enumerate(d) if c]
-        names.append("*".join(parts) if parts else "1")
-    gens = [p ** i for i in range(k)] if n > 1 else [0]
-    return FiniteGroup(table, names=names, generators=gens, check=False)
+    if not is_prime(p):
+        raise GroupError(f"p = {p} is not a prime")
+    return _from_law(
+        (0,) * k, lambda x, y: tuple((a + b) % p for a, b in zip(x, y)),
+        [(tuple(int(i == j) for j in range(k)), f"e{i + 1}")
+         for i in range(k)])
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
-    n = G.n * H.n
-    if n > MAX_ORDER:
+    if G.n * H.n > MAX_ORDER:
         raise GroupError("order bound exceeded")
-
-    def eid(a, b):
-        return a * H.n + b
-
-    table = [[eid(G.table[a][c], H.table[b][d])
-              for c in range(G.n) for d in range(H.n)]
-             for a in range(G.n) for b in range(H.n)]
-    names = []
-    for a in range(G.n):
-        for b in range(H.n):
-            la, lb = G.names[a], H.names[b]
-            if la == "1" and lb == "1":
-                names.append("1")
-            elif la == "1":
-                names.append(lb + "'")
-            elif lb == "1":
-                names.append(la)
-            else:
-                names.append(la + "*" + lb + "'")
-    gens = [eid(g, H.identity) for g in G.generators] + \
-           [eid(G.identity, h) for h in H.generators]
-    return FiniteGroup(table, names=names, generators=gens, check=False)
+    return _from_law(
+        (G.identity, H.identity),
+        lambda x, y: (G.table[x[0]][y[0]], H.table[x[1]][y[1]]),
+        [((g, H.identity), G.names[g]) for g in G.generators]
+        + [((G.identity, h), H.names[h] + "'") for h in H.generators])
 
 
 def semidirect_metacyclic(pm: int, mprime: int, action: int) -> FiniteGroup:
     """Z/pm x| Z/mprime, with t s t^-1 = s^action."""
     if pow(action, mprime, pm) != 1 % pm or gcd(action, pm) != 1:
         raise GroupError("action must have order dividing mprime mod pm")
-    n = pm * mprime
-    if n > MAX_ORDER:
+    if pm * mprime > MAX_ORDER:
         raise GroupError("order bound exceeded")
 
-    def eid(a, b):
-        return a + pm * b
+    def mul(x, y):
+        # (s^a t^b)(s^c t^d) = s^(a + c*action^b) t^(b+d)
+        (a, b), (c, d) = x, y
+        return ((a + c * pow(action, b, pm)) % pm, (b + d) % mprime)
 
-    table = [[0] * n for _ in range(n)]
-    for a in range(pm):
-        for b in range(mprime):
-            for c in range(pm):
-                for d in range(mprime):
-                    # (s^a t^b)(s^c t^d) = s^(a + c*action^b) t^(b+d)
-                    aa = (a + c * pow(action, b, pm)) % pm
-                    table[eid(a, b)][eid(c, d)] = eid(aa, (b + d) % mprime)
-    names = [None] * n
-    for a in range(pm):
-        for b in range(mprime):
-            parts = []
-            if a:
-                parts.append(f"s^{a}" if a > 1 else "s")
-            if b:
-                parts.append(f"t^{b}" if b > 1 else "t")
-            names[eid(a, b)] = "*".join(parts) if parts else "1"
-    return FiniteGroup(table, names=names,
-                       generators=[eid(1 % pm, 0), eid(0, 1 % mprime)],
-                       check=False)
+    return _from_law((0, 0), mul,
+                     [((1 % pm, 0), "s"), ((0, 1 % mprime), "t")])
 
 
 def from_permutations(perms) -> FiniteGroup:
-    """Group generated by permutations given as image lists."""
+    """Group generated by permutations given as image lists; the product
+    ab applies a first."""
     if not perms:
         raise GroupError("need at least one permutation")
     deg = len(perms[0])
     for p in perms:
         if sorted(p) != list(range(deg)):
             raise GroupError("not a permutation")
-    ident = tuple(range(deg))
-    elems = {ident}
-    frontier = [ident]
-    gens = [tuple(p) for p in perms]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = tuple(g[x[i]] for i in range(deg))
-                if y not in elems:
-                    if len(elems) >= MAX_ORDER:
-                        raise GroupError("order bound exceeded")
-                    elems.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    order = sorted(elems)
-    index = {p: i for i, p in enumerate(order)}
-    table = [[index[tuple(b[a[i]] for i in range(deg))] for b in order]
-             for a in order]
-    gen_ids = [index[g] for g in gens]
-    names = [f"p{i}" for i in range(len(order))]
-    for j, g in enumerate(gen_ids):
-        names[g] = f"a{j+1}"
-    names[index[ident]] = "1"
-    return FiniteGroup(table, names=names, generators=gen_ids, check=False)
+    return _from_law(tuple(range(deg)), lambda a, b: tuple(b[i] for i in a),
+                     [(tuple(p), f"a{j + 1}") for j, p in enumerate(perms)])
 
 
 def build_group(spec: dict) -> FiniteGroup:
@@ -674,6 +593,8 @@ def build_group(spec: dict) -> FiniteGroup:
         return elementary_abelian(params["p"], params["k"])
     if builder == "direct_product":
         factors = [build_group(f) for f in spec["factors"]]
+        if not factors:
+            raise GroupError("direct_product needs at least one factor")
         G = factors[0]
         for H in factors[1:]:
             G = direct_product(G, H)
@@ -684,40 +605,46 @@ def build_group(spec: dict) -> FiniteGroup:
     raise GroupError(f"unknown builder {builder!r}")
 
 
+def extend_from_generators(G: FiniteGroup, images, identity, compose, equal):
+    """Extend images, a dict {generator id: image}, to a list over all of G:
+    a breadth-first walk of the right Cayley graph from the identity, where
+    the image of x*s is compose(image of x, image of s). Raises GroupError
+    when two walks to one element disagree under equal, or when the
+    generators miss an element."""
+    out = [None] * G.n
+    out[G.identity] = identity
+    queue = [G.identity]
+    for x in queue:
+        for s, image in images.items():
+            y = G.table[x][s]
+            cand = compose(out[x], image)
+            if out[y] is None:
+                out[y] = cand
+                queue.append(y)
+            elif not equal(out[y], cand):
+                raise GroupError(
+                    "generator images do not satisfy the group relations")
+    if len(queue) < G.n:
+        raise GroupError("the named generators do not generate the group")
+    return out
+
+
 def find_isomorphism(G: FiniteGroup, H: FiniteGroup):
-    """Brute-force isomorphism for small groups, or None."""
+    """Brute-force isomorphism for small groups, as a list of H-ids
+    indexed by G-ids, or None."""
     if G.n != H.n or sorted(G.order_of) != sorted(H.order_of):
         return None
     gens = minimal_generating_set(G, range(G.n))
     candidates = [[h for h in range(H.n) if H.order_of[h] == G.order_of[g]]
                   for g in gens]
-
-    def words_cover(images):
-        phi = {G.identity: H.identity}
-        frontier = [G.identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g, hg in zip(gens, images):
-                    y = G.table[x][g]
-                    hy = H.table[phi[x]][hg]
-                    if y in phi:
-                        if phi[y] != hy:
-                            return None
-                    else:
-                        phi[y] = hy
-                        nxt.append(y)
-            frontier = nxt
-        if len(phi) != G.n or len(set(phi.values())) != G.n:
-            return None
-        for a in range(G.n):
-            for b in range(G.n):
-                if phi[G.table[a][b]] != H.table[phi[a]][phi[b]]:
-                    return None
-        return phi
-
     for images in itertools.product(*candidates):
-        phi = words_cover(images)
-        if phi:
+        try:
+            phi = extend_from_generators(G, dict(zip(gens, images)),
+                                         H.identity, H.mul, operator.eq)
+        except GroupError:
+            continue
+        if len(set(phi)) == G.n and all(
+                phi[G.table[a][b]] == H.table[phi[a]][phi[b]]
+                for a in range(G.n) for b in range(G.n)):
             return phi
     return None

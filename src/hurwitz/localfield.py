@@ -92,39 +92,10 @@ class CycloLocalField:
 
 # -- polynomials over the field: list of Cyclotomic, index = degree --
 
-def poly(field: CycloLocalField, coeffs: Sequence) -> List[Cyclotomic]:
-    return [field.element(c) for c in coeffs]
-
-
 def poly_trim(f: List[Cyclotomic]) -> List[Cyclotomic]:
     while f and f[-1].is_zero():
         f = f[:-1]
     return f
-
-
-def poly_mul(f: List[Cyclotomic], g: List[Cyclotomic]) -> List[Cyclotomic]:
-    if not f or not g:
-        return []
-    zero = Cyclotomic.from_rational(0)
-    out = [zero] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] = out[i + j] + a * b
-    return poly_trim(out)
-
-
-def poly_add(f, g):
-    zero = Cyclotomic.from_rational(0)
-    out = [zero] * max(len(f), len(g))
-    for i, a in enumerate(f):
-        out[i] = out[i] + a
-    for i, b in enumerate(g):
-        out[i] = out[i] + b
-    return poly_trim(out)
-
-
-def poly_sub(f, g):
-    return poly_add(f, [-b for b in g])
 
 
 def gauss_valuation_poly(field: CycloLocalField, f: Sequence) -> Fraction:
@@ -186,10 +157,6 @@ class MobiusMap:
 
     def is_identity(self) -> bool:
         return self.projectively_equal(MobiusMap.identity())
-
-    def as_fraction(self) -> Tuple[list, list]:
-        """(numerator, denominator) of the rational function (az+b)/(cz+d)."""
-        return poly_trim([self.b, self.a]), poly_trim([self.d, self.c])
 
     def displacement(self) -> Tuple[list, list]:
         """sigma(z) - z = (-c z^2 + (a-d) z + b) / (cz + d)."""

@@ -412,17 +412,15 @@ def _tame_single_leaf(G: FiniteGroup, p: int,
 
 # -- independent grid oracle (kept LP-free on purpose) --
 
-def grid_feasibility(G: FiniteGroup, p: int, a: ClassFunction,
-                     max_den: Optional[int] = None,
-                     max_val: Fraction = Fraction(2)) -> ObstructionReport:
+def grid_feasibility(G: FiniteGroup, p: int,
+                     a: ClassFunction) -> ObstructionReport:
     """Brute-force rational search over edge thicknesses on the same shape
     enumeration; checks candidates by full axiom validation, no linear
-    algebra shared with the LP path."""
-    if max_den is None:
-        max_den = 2 * (p - 1)
+    algebra shared with the LP path. The thicknesses tried are the
+    fractions in (0, 2] with denominator at most 2(p-1)."""
     values = sorted({Fraction(k, d)
-                     for d in range(1, max_den + 1)
-                     for k in range(1, int(max_val * d) + 1)})
+                     for d in range(1, 2 * (p - 1) + 1)
+                     for k in range(1, 2 * d + 1)})
     decomps = bertin_check(a)
     report = ObstructionReport(verdict="infeasible", artin=a, p=p,
                                decompositions=decomps)

@@ -274,10 +274,8 @@ def derive_artin(T: RootedMetricTree,
     return artin
 
 
-def derive_depths(ht_tree: RootedMetricTree, monodromy, artin, delta_root,
-                  p: int):
-    """Propagate depths from the root by (H4); return (depths, bad_leaves)
-    where bad_leaves lists the leaves violating (H5)."""
+def derive_depths(ht_tree: RootedMetricTree, monodromy, artin, delta_root):
+    """Propagate depths from the root by (H4)."""
     depths = {ht_tree.root: delta_root}
     stack = [ht_tree.root]
     while stack:
@@ -287,9 +285,7 @@ def derive_depths(ht_tree: RootedMetricTree, monodromy, artin, delta_root,
             s_e = artin[e] - cached_u_star(monodromy[t])
             depths[t] = depths[s] + eps * s_e
             stack.append(t)
-    bad = [b for b in ht_tree.leaves
-           if depths[b] != cached_delta_target(monodromy[b], p)]
-    return depths, bad
+    return depths
 
 
 def build_hurwitz_tree(T: RootedMetricTree, G: FiniteGroup, p: int,
@@ -300,7 +296,7 @@ def build_hurwitz_tree(T: RootedMetricTree, G: FiniteGroup, p: int,
     if delta_root is None:
         delta_root = ClassFunction(G, [0] * len(G.conjugacy_classes()))
     artin = derive_artin(T, {b: monodromy[b] for b in T.leaves})
-    depths, _ = derive_depths(T, monodromy, artin, delta_root, p)
+    depths = derive_depths(T, monodromy, artin, delta_root)
     return HurwitzTree(tree=T, group=G, p=p, monodromy=monodromy,
                        artin=artin, depth=depths)
 

@@ -6,7 +6,7 @@ import pytest
 from hurwitz.characters import character_table, one_char, pair
 from hurwitz.charp import (GF, CharPError, LocalAction, SeriesP,
                            klein_four_action, local_artin_character)
-from hurwitz.groups import cyclic
+from hurwitz.groups import cyclic, elementary_abelian
 
 
 def test_gf_field_axioms():
@@ -78,6 +78,14 @@ def test_local_action_checks_relations():
     bad = SeriesP(gf, [0, 1, 1] + [0] * 7, 10)
     with pytest.raises(CharPError):
         LocalAction(gf, G, {"s": bad})
+
+
+def test_local_action_generators_must_generate():
+    gf = GF(2, 1)
+    G = elementary_abelian(2, 2)
+    e1 = SeriesP.geometric_fraction(gf, 1, 8)    # an involution
+    with pytest.raises(CharPError, match="do not generate the group"):
+        LocalAction(gf, G, {"e1": e1})
 
 
 def test_wild_cyclic_artin_is_positive_at_identity():

@@ -239,6 +239,24 @@ def test_obstruct_bertin_exit(capsys, write_json):
     assert code == 3
 
 
+def test_group_info_refuses_empty_direct_product(capsys, write_json):
+    path = write_json("g.json", {"builder": "direct_product", "factors": []})
+    code, _, err = run(capsys, "group", "info", path)
+    assert code == 64
+    assert "at least one factor" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("p", [1, 4])
+def test_group_info_refuses_non_prime_elementary_abelian(capsys, write_json,
+                                                         p):
+    path = write_json("g.json", {"builder": "elementary_abelian",
+                                 "params": {"p": p, "k": 2}})
+    code, _, err = run(capsys, "group", "info", path)
+    assert code == 64
+    assert f"p = {p} is not a prime" in err
+
+
 def test_parse_error_exit_codes(capsys, tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")

@@ -8,7 +8,7 @@ from hurwitz.cyclotomic import Cyclotomic
 from hurwitz.disk import (DiskAction, DiskError, artin_character,
                           boundary_shift_check, break_decomposition,
                           depth_character, derivation_test, mobius_to_series)
-from hurwitz.groups import cyclic, subgroup_class_of
+from hurwitz.groups import cyclic, elementary_abelian, subgroup_class_of
 from hurwitz.localfield import CycloLocalField, MobiusMap, TruncatedSeries
 
 Z = Cyclotomic.zeta
@@ -118,6 +118,13 @@ def test_bad_relations_rejected():
     G = cyclic(4)
     with pytest.raises(DiskError):
         DiskAction(K, G, {"s": MobiusMap(-1, 0, 0, 1)})   # order 2, not 4
+
+
+def test_generators_must_generate():
+    K = CycloLocalField(2, 1)
+    G = elementary_abelian(2, 2)
+    with pytest.raises(DiskError, match="do not generate the group"):
+        DiskAction(K, G, {"e1": MobiusMap(-1, 0, 0, 1)})
 
 
 def test_derivation_criterion():

@@ -1,3 +1,7 @@
+import hashlib
+import os
+import runpy
+
 import pytest
 
 from hurwitz.groups import (GroupError, build_group, cyclic, dihedral,
@@ -139,3 +143,65 @@ def test_quaternion_structure(q16):
     assert lhs == q16.inv(tau)
     # sigma^2 is the unique central involution tau^4
     assert q16.mul(sigma, sigma) == q16.power(tau, 4)
+
+
+WORKLOADS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         os.pardir, "perfbench", "workloads.py")
+
+
+def _golden_specs():
+    workloads = runpy.run_path(WORKLOADS)
+    specs = dict(workloads["CATALOG_GROUPS"])
+    specs.update({name: spec for name, (spec, _) in
+                  workloads["WITNESS_GROUPS"].items()})
+    specs.update({
+        "C4": {"builder": "cyclic", "params": {"n": 4}},
+        "S4": {"permutations": S4},
+        "A4": {"permutations": A4},
+        "A5": {"permutations": A5},
+        "D1": {"builder": "dihedral", "params": {"n": 1}},
+        "C1": {"builder": "cyclic", "params": {"n": 1}},
+        "C7:C3": {"builder": "semidirect_metacyclic",
+                  "params": {"pm": 7, "mprime": 3, "action": 2}},
+        "C2x(C3xD4)": {"builder": "direct_product", "factors": [
+            {"builder": "cyclic", "params": {"n": 2}},
+            {"builder": "direct_product", "factors": [
+                {"builder": "cyclic", "params": {"n": 3}},
+                {"builder": "dihedral", "params": {"n": 4}}]}]},
+    })
+    return specs
+
+
+# sha256 of repr((table, names, generators)), recorded from the builders
+# that wrote out every element's name and id layout by hand
+GOLDEN = {
+    "E(2^4)": "21fd23854b11cb71bff5bfef2eca0cdeb21b5f94eb5d6c4c6a6fc4f453b710d3",
+    "E(3^3)": "fae07ec906610917fc19d4144f7b6b63f217cc80c84295b6b36a3dbd3472bf64",
+    "C2xD4": "163e84020c54dcf1ad663729d8e97b5706e81393d61df96c1c0e7748f2f9d681",
+    "C2xQ8": "de04a8dcb85962affa8bceffd51340be2cdc62a6bf80d4291548f4167e45faef",
+    "D16": "c498f60cdb5b87a293607074e258167774817fdb93c5a2e5c0282cab00e15326",
+    "Q32": "e55b7bad22be169eb874ff84592be0ebfb817e7d29470f579cf5bf037de27ded",
+    "Q64": "b76851f2a3d552c1bee42de41a7e60dcee32615d548265ddbfce6ee8dd54b66a",
+    "E(2^5)": "4b8a1097704ecd2448ad984558e9143a3d7f2d0ff8b7f4a75a1ac10bf56ea797",
+    "C2": "a1cbc90b2e1cde442d5aef392ed13bce15dab0bf4b9bad3e4bec429c343c64b5",
+    "C3": "735c92e7e7c616b4cbd3aa893221b7dd8461452b33b9c252d56fef4d245406db",
+    "Q8": "7e833a62b8e599fba763b0f66fa09ed6b0a6be744d29bbb394aa677e5bd2d77e",
+    "C4": "e6a9cb0d8285a03cc6a1b1b506c96b3761669ea011a567d60f247aeb8c6bf431",
+    "S4": "e4e8d82362ef77305006479794bd0e288cb9136ff1a16064e98ddca9bcf79756",
+    "A4": "9a817370282b267b615b5e370396f2e90e5cb2cf6ea969bd63618bb0cf7d6ad6",
+    "A5": "b375b060ba4980c07387124e830f534785f0539ce5c667c0d6c4082e604dbfc6",
+    "D1": "24d5b3372c70858813deb6f9a5ea00885c47c33fb2076b34e64dc6f65f0c4005",
+    "C1": "d61dd676831a0b51ec393c4dbcfe4cfe12a17a469c82a80215ff179dd209e72e",
+    "C7:C3": "9c39ce7078238d7bf57406846bd757567cb499c491c249becc43c1bc523db452",
+    "C2x(C3xD4)": "272058a3bb9f0b10e8e857bcab13346aa9b4477149ec78f0074499fbb6a7a6d0",
+}
+
+
+def test_builders_match_golden_digests():
+    specs = _golden_specs()
+    assert set(specs) == set(GOLDEN)
+    for name, spec in specs.items():
+        G = build_group(spec)
+        digest = hashlib.sha256(
+            repr((G.table, G.names, G.generators)).encode()).hexdigest()
+        assert digest == GOLDEN[name], name
