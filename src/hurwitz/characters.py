@@ -313,9 +313,7 @@ def _lift_character(G, xmod, degree, z, e, q):
             if m > degree:
                 raise CharacterError("multiplicity lifting failed")
             coeffs.append(m)
-        val = Cyclotomic(o, [Fraction(m) for m in coeffs]) if o > 1 \
-            else Cyclotomic.from_rational(coeffs[0])
-        vals.append(val)
+        vals.append(Cyclotomic(o, coeffs))
     return ClassFunction(G, vals)
 
 

@@ -1,9 +1,10 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N) with rational coefficients.
 
-Values are polynomials in zeta_N reduced modulo the N-th cyclotomic
-polynomial, so two equal values with the same conductor have identical
-coefficient vectors.  Mixed-conductor arithmetic lifts both operands to the
-lcm conductor.
+Values are coordinate vectors in the power basis 1, zeta_N, ...,
+zeta_N^(phi(N)-1), so two equal values with the same conductor have
+identical coefficient vectors.  Every reduction goes through one table per
+conductor, the coordinates of zeta_N^i for i < N.  Mixed-conductor
+arithmetic lifts both operands to the lcm conductor.
 """
 
 from __future__ import annotations
@@ -16,105 +17,78 @@ from typing import Iterable, Union
 Rat = Union[int, Fraction]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
+def _prime_factors(n: int) -> list:
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
+    for p in _prime_factors(n):
+        result -= result // p
     return result
-
-
-# -- dense polynomial helpers over Fraction (lowest degree first) --
-
-def _poly_trim(c: list) -> list:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divmod(a: list, b: list) -> tuple[list, list]:
-    a = _poly_trim(list(a))
-    b = _poly_trim(list(b))
-    q = [_ZERO] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / Fraction(b[-1])
-    while len(a) >= len(b):
-        shift = len(a) - len(b)
-        coef = a[-1] * inv_lead
-        q[shift] = coef
-        for i, y in enumerate(b):
-            a[shift + i] -= coef * y
-        _poly_trim(a)
-    return _poly_trim(q), a
-
-
-def _poly_sub(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    a = a + [_ZERO] * (n - len(a))
-    b = b + [_ZERO] * (n - len(b))
-    return _poly_trim([x - y for x, y in zip(a, b)])
-
-
-def _poly_xgcd(a: list, b: list) -> tuple[list, list, list]:
-    """Return (g, s, t) with s*a + t*b = g."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [_ONE], []
-    t0, t1 = [], [_ONE]
-    while _poly_trim(list(r1)):
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
-    return r0, s0, t0
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple:
-    """Coefficients of Phi_n, lowest degree first."""
-    if n == 1:
-        return (Fraction(-1), Fraction(1))
-    poly = [_ZERO] * n + [_ONE]
-    poly[0] = Fraction(-1)  # x^n - 1
+    """Integer coefficients of Phi_n, lowest degree first: x^n - 1 divided
+    exactly by the monic Phi_d of every proper divisor d of n."""
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            poly, rem = _poly_divmod(poly, list(cyclotomic_polynomial(d)))
-            assert not rem
+            phi = cyclotomic_polynomial(d)
+            top = len(phi) - 1
+            quot = [0] * (len(poly) - top)
+            for s in range(len(quot) - 1, -1, -1):
+                c = quot[s] = poly[s + top]
+                if c:
+                    for i, y in enumerate(phi):
+                        poly[s + i] -= c * y
+            poly = quot
     return tuple(poly)
 
 
-def _reduce_mod_phi(coeffs: list, n: int) -> tuple:
-    phi = list(cyclotomic_polynomial(n))
+@lru_cache(maxsize=None)
+def _powers(n: int) -> tuple:
+    """Row i holds the nonzero (j, c) with zeta_n^i = sum c zeta_n^j over the
+    power basis, for i < n.  Each row is the last one times zeta, with the
+    top term folded back by Phi_n."""
+    phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
-    c = [Fraction(x) for x in coeffs]
-    # first fold exponents mod n (zeta_n^n = 1), then reduce mod Phi_n
-    folded = [_ZERO] * n
-    for i, x in enumerate(c):
+    dense = [1] + [0] * (deg - 1)
+    rows = []
+    for _ in range(n):
+        rows.append(tuple((j, c) for j, c in enumerate(dense) if c))
+        top = dense[-1]
+        dense = [0] + dense[:-1]
+        if top:
+            dense = [c - top * a for c, a in zip(dense, phi)]
+    return tuple(rows)
+
+
+def _reduce(n: int, terms) -> tuple:
+    """Coordinates of sum x * zeta_n^e over the (e, x) in terms."""
+    rows = _powers(n)
+    out = [0] * euler_phi(n)
+    for e, x in terms:
         if x:
-            folded[i % n] += x
-    _, rem = _poly_divmod(folded, phi)
-    rem = rem + [_ZERO] * (deg - len(rem))
-    return tuple(rem[:deg])
+            for j, c in rows[e % n]:
+                out[j] += c * x
+    # one shared zero: most coordinates of a cached character value are 0
+    return tuple(v if type(v) is Fraction else Fraction(v) if v else _ZERO
+                 for v in out)
 
 
 class Cyclotomic:
@@ -126,18 +100,26 @@ class Cyclotomic:
         if n < 1:
             raise ValueError("conductor must be positive")
         self.n = n
-        self.coeffs = _reduce_mod_phi(list(coeffs), n)
+        self.coeffs = _reduce(n, enumerate(coeffs))
+
+    @staticmethod
+    def _of(n: int, coeffs: tuple) -> "Cyclotomic":
+        """Wrap a vector of Fractions that is already reduced mod Phi_n."""
+        x = object.__new__(Cyclotomic)
+        x.n = n
+        x.coeffs = coeffs
+        return x
 
     # -- constructors --
 
     @staticmethod
     def from_rational(q: Rat) -> "Cyclotomic":
-        return Cyclotomic(1, [Fraction(q)])
+        return Cyclotomic._of(1, (Fraction(q),))
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "Cyclotomic":
-        c = [_ZERO] * n
-        c[k % n] = _ONE
+        c = [0] * n
+        c[k % n] = 1
         return Cyclotomic(n, c)
 
     # -- coercion --
@@ -157,11 +139,8 @@ class Cyclotomic:
         if m % self.n:
             raise ValueError("can only lift to a multiple of the conductor")
         step = m // self.n
-        c = [_ZERO] * m
-        for i, x in enumerate(self.coeffs):
-            if x:
-                c[i * step] += x
-        return Cyclotomic(m, c)
+        return Cyclotomic._of(m, _reduce(
+            m, ((i * step, x) for i, x in enumerate(self.coeffs))))
 
     def _pair(self, other) -> tuple["Cyclotomic", "Cyclotomic"]:
         m = self.n * other.n // math.gcd(self.n, other.n)
@@ -174,12 +153,13 @@ class Cyclotomic:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._pair(other)
-        return Cyclotomic(a.n, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        return Cyclotomic._of(a.n, tuple(x + y for x, y in
+                                         zip(a.coeffs, b.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.n, [-x for x in self.coeffs])
+        return Cyclotomic._of(self.n, tuple(-x for x in self.coeffs))
 
     def __sub__(self, other):
         other = Cyclotomic._coerce(other)
@@ -190,23 +170,45 @@ class Cyclotomic:
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scale(self, q: Fraction) -> "Cyclotomic":
+        return Cyclotomic._of(self.n, tuple(x * q for x in self.coeffs))
+
     def __mul__(self, other):
         other = Cyclotomic._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if other.n == 1:
+            return self._scale(other.coeffs[0])
+        if self.n == 1:
+            return other._scale(self.coeffs[0])
         a, b = self._pair(other)
-        return Cyclotomic(a.n, _poly_mul(list(a.coeffs), list(b.coeffs)))
+        conv = [0] * (2 * len(a.coeffs) - 1)
+        for i, x in enumerate(a.coeffs):
+            if x:
+                for j, y in enumerate(b.coeffs):
+                    if y:
+                        conv[i + j] += x * y
+        return Cyclotomic._of(a.n, _reduce(a.n, enumerate(conv)))
 
     __rmul__ = __mul__
+
+    def _other_conjugates(self) -> "Cyclotomic":
+        """The product of sigma_k(self) over the units k != 1 mod n."""
+        prod = Cyclotomic.from_rational(1).lift(self.n)
+        for k in range(2, self.n):
+            if math.gcd(k, self.n) == 1:
+                prod = prod * self.galois(k)
+        return prod
+
+    def norm(self) -> Fraction:
+        """The norm from Q(zeta_n) to Q: the product of all conjugates."""
+        return (self * self._other_conjugates()).to_fraction()
 
     def inverse(self) -> "Cyclotomic":
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic division by zero")
-        phi = list(cyclotomic_polynomial(self.n))
-        g, s, _ = _poly_xgcd(list(self.coeffs), phi)
-        # g is a nonzero constant
-        assert len(g) == 1
-        return Cyclotomic(self.n, [x / g[0] for x in s])
+        rest = self._other_conjugates()
+        return rest._scale(1 / (self * rest).to_fraction())
 
     def __truediv__(self, other):
         other = Cyclotomic._coerce(other)
@@ -235,11 +237,8 @@ class Cyclotomic:
         """Apply zeta_n -> zeta_n^k; requires gcd(k, n) = 1."""
         if math.gcd(k, self.n) != 1:
             raise ValueError("galois exponent not coprime to conductor")
-        c = [_ZERO] * self.n
-        for i, x in enumerate(self.coeffs):
-            if x:
-                c[(i * k) % self.n] += x
-        return Cyclotomic(self.n, c)
+        return Cyclotomic._of(self.n, _reduce(
+            self.n, ((i * k, x) for i, x in enumerate(self.coeffs))))
 
     def conj(self) -> "Cyclotomic":
         return self.galois(self.n - 1) if self.n > 2 else self
@@ -255,58 +254,39 @@ class Cyclotomic:
     def to_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0] if self.coeffs else _ZERO
+        return self.coeffs[0]
 
     def descend(self) -> "Cyclotomic":
-        """Rewrite with the smallest conductor d | n containing the value."""
+        """Rewrite with the smallest conductor d | n containing the value.
+        The fields Q(zeta_d) that contain it are closed under gcd, so
+        dropping one prime of the conductor at a time reaches d."""
         if self.is_rational():
-            return self if self.n == 1 else Cyclotomic(1, [self.to_fraction()])
-        for d in sorted(x for x in range(2, self.n) if self.n % x == 0):
-            fixed = all(
-                self.galois(k) == self
-                for k in range(2, self.n)
-                if math.gcd(k, self.n) == 1 and k % d == 1
-            )
-            if not fixed:
-                continue
-            down = self._express_in(d)
-            if down is not None:
-                return down
-        return self
+            return self if self.n == 1 else \
+                Cyclotomic.from_rational(self.to_fraction())
+        x = self
+        while True:
+            for p in _prime_factors(x.n):
+                y = x._drop(p)
+                if y is not None:
+                    break
+            else:
+                return x
+            x = y
 
-    def _express_in(self, d: int):
-        """Solve for coefficients over the basis zeta_d^j, or None."""
-        n, step = self.n, self.n // d
-        deg_n, deg_d = euler_phi(n), euler_phi(d)
-        # columns: reduced coordinates (in Q(zeta_n)) of zeta_d^j
-        cols = [Cyclotomic.zeta(n, j * step).coeffs for j in range(deg_d)]
-        target = list(self.coeffs)
-        # Gaussian elimination on the deg_n x deg_d system
-        rows = [[cols[j][i] for j in range(deg_d)] + [target[i]]
-                for i in range(deg_n)]
-        pivots = []
-        r = 0
-        for c in range(deg_d):
-            pr = next((i for i in range(r, deg_n) if rows[i][c] != 0), None)
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            inv = 1 / rows[r][c]
-            rows[r] = [x * inv for x in rows[r]]
-            for i in range(deg_n):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-        sol = [_ZERO] * deg_d
-        for i, c in enumerate(pivots):
-            sol[c] = rows[i][-1]
-        for i in range(r, deg_n):
-            if rows[i][-1] != 0:
-                return None
-        cand = Cyclotomic(d, sol)
-        return cand if cand.lift(n) == self else None
+    def _drop(self, p: int):
+        """The value in Q(zeta_(n/p)), or None when it is not there."""
+        n, m = self.n, self.n // p
+        if m % p == 0:
+            # Phi_n(x) = Phi_m(x^p): the coordinates are read off
+            y = Cyclotomic._of(m, self.coeffs[::p])
+        else:
+            # zeta_n = zeta_m^u zeta_p^v; a value of Q(zeta_m) is its trace
+            # to Q(zeta_m) over p - 1, and Tr zeta_p^b is p - 1 (p | b) or -1
+            u, v = pow(p, -1, m), pow(m, -1, p)
+            trace = _reduce(m, ((i * u, -x if i * v % p else (p - 1) * x)
+                                for i, x in enumerate(self.coeffs)))
+            y = Cyclotomic._of(m, tuple(t / (p - 1) for t in trace))
+        return y if y.lift(n).coeffs == self.coeffs else None
 
     def __eq__(self, other):
         other = Cyclotomic._coerce(other)

@@ -539,13 +539,21 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
+    """G x H; each generator name of H is primed until it is no name of G
+    and no name given before it."""
     if G.n * H.n > MAX_ORDER:
         raise GroupError("order bound exceeded")
+    taken = set(G.names)
+    gens = [((g, H.identity), G.names[g]) for g in G.generators]
+    for h in H.generators:
+        name = H.names[h] + "'"
+        while name in taken:
+            name += "'"
+        taken.add(name)
+        gens.append(((G.identity, h), name))
     return _from_law(
         (G.identity, H.identity),
-        lambda x, y: (G.table[x[0]][y[0]], H.table[x[1]][y[1]]),
-        [((g, H.identity), G.names[g]) for g in G.generators]
-        + [((G.identity, h), H.names[h] + "'") for h in H.generators])
+        lambda x, y: (G.table[x[0]][y[0]], H.table[x[1]][y[1]]), gens)
 
 
 def semidirect_metacyclic(pm: int, mprime: int, action: int) -> FiniteGroup:
@@ -579,6 +587,8 @@ def from_permutations(perms) -> FiniteGroup:
 
 def build_group(spec: dict) -> FiniteGroup:
     """Build from a JSON-shaped description (the group file format)."""
+    if not isinstance(spec, dict):
+        raise GroupError(f"a group description must be an object: {spec!r}")
     if "permutations" in spec:
         return from_permutations(spec["permutations"])
     builder = spec.get("builder")

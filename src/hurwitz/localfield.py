@@ -50,14 +50,7 @@ class CycloLocalField:
         return self.zeta() - Cyclotomic.from_rational(1)
 
     def norm(self, x) -> Fraction:
-        x = self.element(x).lift(self.n)
-        prod = Cyclotomic.from_rational(1)
-        for k in range(1, self.n):
-            if math.gcd(k, self.n) == 1:
-                prod = prod * x.galois(k)
-        if not prod.is_rational():
-            raise FieldError("norm failed to land in Q")
-        return prod.to_fraction()
+        return self.element(x).lift(self.n).norm()
 
     def val(self, x) -> Optional[Fraction]:
         """Valuation normalized by val(p) = 1; None for x = 0."""

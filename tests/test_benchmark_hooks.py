@@ -1,15 +1,19 @@
 """The benchmark's tracer, perfbench/tracing.py, rebinds library functions
-by name and reads the subgroup-lattice cache key "all".  A rename that
-breaks either fails here, not only in a traced benchmark run."""
+by name and reads the subgroup-lattice cache key "all", and every perfbench
+script imports names from hurwitz.  A rename that breaks any of these fails
+here, not only in a benchmark run."""
 
+import ast
+import glob
 import importlib
 import os
 import runpy
 
 from hurwitz.groups import cyclic, subgroup_classes
 
-TRACING = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                       os.pardir, "perfbench", "tracing.py")
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         os.pardir, "perfbench")
+TRACING = os.path.join(PERFBENCH, "tracing.py")
 
 
 def test_traced_layer_functions_exist():
@@ -26,3 +30,24 @@ def test_lattice_build_sets_the_all_key():
     assert "all" not in G._subgroup_cache
     classes = subgroup_classes(G)
     assert len(G._subgroup_cache["all"]) == len(classes)
+
+
+def test_perfbench_hurwitz_imports_resolve():
+    checked = 0
+    for path in sorted(glob.glob(os.path.join(PERFBENCH, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "hurwitz":
+                        importlib.import_module(alias.name)
+                        checked += 1
+            elif isinstance(node, ast.ImportFrom) and node.module and \
+                    node.module.split(".")[0] == "hurwitz":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), \
+                        f"{os.path.basename(path)}: {node.module}.{alias.name}"
+                    checked += 1
+    assert checked

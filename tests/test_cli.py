@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -120,6 +121,41 @@ def test_char_pair(capsys, write_json):
     code, out, _ = run(capsys, "char", "pair", f, g, "--format", "json")
     assert code == 0
     assert json.loads(out)["inner_product"] == "1"
+
+
+# sha256 of `hg char table FILE --format json`, recorded when every value
+# was reduced by Fraction long division by Phi_n.  No benchmark op prints a
+# non-rational value, so these are the guard on descend and
+# format_cyclotomic.
+CHAR_TABLE_GOLDEN = {
+    "C12": ({"builder": "cyclic", "params": {"n": 12}},
+            "131fcc9d1c875e568064d1c8445d311e8e09d0c852148efdf348f09677091573"),
+    "C15": ({"builder": "cyclic", "params": {"n": 15}},
+            "152d4729a2171ba163bfe15459132e23c033192d1d177a47b8ea51676fc4734b"),
+    "C20": ({"builder": "cyclic", "params": {"n": 20}},
+            "6345a7cfbeb0708d85467b435b2d1ee5f4dfa0824f4c1fa3529b01914a817592"),
+    "D5": ({"builder": "dihedral", "params": {"n": 5}},
+           "b392a7e9c9572fd4f278afb445deca380abfe66f2bb62dcfbfe6d89abe8dcd75"),
+    "Q16": ({"builder": "generalized_quaternion", "params": {"n": 3}},
+            "894e1decb35ba261ae127ee246dadbcec2e36f71dd38871fe2cd7531d9917941"),
+    "C7:C3": ({"builder": "semidirect_metacyclic",
+               "params": {"pm": 7, "mprime": 3, "action": 2}},
+              "6686d303a688310433caceffeacc6e94374f718b51ac0e4ad805f847ee897265"),
+    "A5": ({"permutations": [[1, 2, 0, 3, 4], [1, 2, 3, 4, 0]]},
+           "8abd31ea385fe9083d11ae3b25cd1cac67c4298ceb9bac4e23dccee0e222002d"),
+    "C3xD4": ({"builder": "direct_product", "factors": [
+        {"builder": "cyclic", "params": {"n": 3}},
+        {"builder": "dihedral", "params": {"n": 4}}]},
+        "e31b2b5bd02e98abcf6c5d0c0ba46c00623d80f5499ed90887439242d1b50c94"),
+}
+
+
+def test_char_table_json_matches_golden_digests(capsys, write_json):
+    for name, (spec, digest) in CHAR_TABLE_GOLDEN.items():
+        path = write_json("g.json", spec)
+        code, out, _ = run(capsys, "char", "table", path, "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, name
 
 
 def test_tree_validate_good_and_dot(capsys, write_json):
@@ -245,6 +281,16 @@ def test_group_info_refuses_empty_direct_product(capsys, write_json):
     assert code == 64
     assert "at least one factor" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("factors", ["0", ["x"], [5]])
+def test_group_info_refuses_a_factor_that_is_not_an_object(capsys, write_json,
+                                                           factors):
+    path = write_json("g.json", {"builder": "direct_product",
+                                 "factors": factors})
+    code, _, err = run(capsys, "group", "info", path)
+    assert code == 64
+    assert "must be an object" in err
 
 
 @pytest.mark.parametrize("p", [1, 4])

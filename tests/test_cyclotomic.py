@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -30,6 +31,47 @@ def test_root_of_unity_relations():
         assert total.is_zero()
 
 
+# -- reference: Fraction long division by Phi_n --
+
+def _ref_divmod(a, b):
+    a = [Fraction(x) for x in a]
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    for shift in range(len(q) - 1, -1, -1):
+        coef = q[shift] = a[shift + len(b) - 1] / b[-1]
+        for i, y in enumerate(b):
+            a[shift + i] -= coef * y
+    return q, a[:len(b) - 1]
+
+
+@lru_cache(maxsize=None)
+def _ref_phi(n):
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            poly, rem = _ref_divmod(poly, _ref_phi(d))
+            assert not any(rem)
+    return tuple(poly)
+
+
+def _ref_reduce(n, raw):
+    folded = [Fraction(0)] * n
+    for i, x in enumerate(raw):
+        folded[i % n] += x
+    return tuple(_ref_divmod(folded, _ref_phi(n))[1])
+
+
+def test_reduction_matches_long_division_reference():
+    rng = random.Random(5)
+    for n in range(1, 131):
+        assert cyclotomic_polynomial(n) == _ref_phi(n)
+        for _ in range(2):
+            raw = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                   for _ in range(n + rng.randint(1, 2 * n))]
+            coeffs = Cyclotomic(n, raw).coeffs
+            assert coeffs == _ref_reduce(n, raw), n
+            assert all(type(c) is Fraction for c in coeffs)
+
+
 def test_descend_finds_minimal_conductor():
     minus_one = Z(2)
     assert minus_one.descend().n == 1
@@ -37,6 +79,14 @@ def test_descend_finds_minimal_conductor():
     assert Z(16).descend().n == 16
     two = Z(8) * Z(8, 7) + Q(1)
     assert two.descend() == Q(1) + Q(1)
+    # the dropped prime does not divide the conductor left
+    assert Z(12, 2).descend().coeffs == (1, 1)  # zeta_6 = 1 + zeta_3
+    assert Z(12, 2).descend().n == 3
+    assert Z(15, 5).descend().n == 3
+    assert Z(20, 4).descend().n == 5
+    x = Q(1) + Q(2) * Z(3)
+    down = x.lift(12).descend()
+    assert (down.n, down.coeffs) == (x.n, x.coeffs)
 
 
 def test_inverse_and_division():
@@ -48,6 +98,8 @@ def test_inverse_and_division():
             if x.is_zero():
                 continue
             assert x * x.inverse() == Q(1)
+    for n, p in ((4, 2), (5, 5), (8, 2), (9, 3)):
+        assert (Z(n) - Q(1)).norm() == p      # Phi_n(1)
 
 
 def test_ring_axioms_random():

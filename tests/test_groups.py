@@ -197,6 +197,14 @@ GOLDEN = {
 }
 
 
+def test_left_nested_product_names_are_distinct():
+    c2 = {"builder": "cyclic", "params": {"n": 2}}
+    G = build_group({"builder": "direct_product", "factors": [c2, c2, c2]})
+    assert len(set(G.names)) == G.n == 8
+    for g, name in enumerate(G.names):
+        assert G.element_by_name(name) == g, name
+
+
 def test_builders_match_golden_digests():
     specs = _golden_specs()
     assert set(specs) == set(GOLDEN)
