@@ -393,10 +393,13 @@ def hurwitz_feasibility(G: FiniteGroup, p: int,
                 report.witness = sol.tree
                 report.witness_shape = shape
                 return report
-            report.certificates.append(
-                {"shape": shape, "reason": sol.reason,
-                 "farkas": None if sol.lp is None else sol.lp.certificate,
-                 "objective": None if sol.lp is None else sol.lp.objective})
+            entry = {"shape": shape, "reason": sol.reason,
+                     "farkas": None if sol.lp is None else sol.lp.certificate,
+                     "objective": None if sol.lp is None
+                     else sol.lp.objective}
+            if entry["objective"] == 0:     # the dual proves max t = 0
+                entry["dual"] = sol.lp.dual
+            report.certificates.append(entry)
     return report
 
 

@@ -2,7 +2,10 @@ import itertools
 import random
 from fractions import Fraction
 
+import hurwitz.obstruction as obstruction
+from hurwitz.groups import subgroup_class_of, subgroup_classes
 from hurwitz.lp import solve_lp
+from hurwitz.obstruction import enumerate_shapes, solve_tree_metric
 
 
 def brute_force(c, A, b):
@@ -113,3 +116,162 @@ def test_against_brute_force_random():
         else:
             mismatches += not feasible
     assert mismatches == 0
+
+
+def reference_simplex(c, A, b):
+    """The Fraction-tableau simplex that solve_lp replaced, kept as the
+    reference: the same two phases, Bland rule and drive-out step, with
+    every entry a Fraction. Returns (status, x, objective, certificate)."""
+    m, n = len(A), len(c)
+    c = [Fraction(v) for v in c]
+    A0 = [[Fraction(v) for v in row] for row in A]
+    b0 = [Fraction(v) for v in b]
+    sign = [1 if b0[i] >= 0 else -1 for i in range(m)]
+    T = [[sign[i] * v for v in A0[i]] + [Fraction(int(i == j))
+                                         for j in range(m)]
+         + [sign[i] * b0[i]] for i in range(m)]
+    basis = [n + i for i in range(m)]
+    width = n + m
+
+    def pivot(r, col):
+        piv = T[r][col]
+        T[r] = [v / piv for v in T[r]]
+        for i in range(m):
+            if i != r and T[i][col] != 0:
+                f = T[i][col]
+                T[i] = [a - f * p for a, p in zip(T[i], T[r])]
+
+    def run_simplex(obj, allowed):
+        z = obj[:] + [Fraction(0)] * (width + 1 - len(obj))
+        for i, bi in enumerate(basis):
+            if z[bi] != 0:
+                f = z[bi]
+                z = [a - f * p for a, p in zip(z, T[i])]
+        while True:
+            col = next((j for j in range(allowed) if z[j] > 0), None)
+            if col is None:
+                return z
+            ratios = [(T[i][width] / T[i][col], basis[i], i)
+                      for i in range(m) if T[i][col] > 0]
+            if not ratios:
+                return None
+            _, _, r = min(ratios)
+            pivot(r, col)
+            basis[r] = col
+            if z[col] != 0:
+                f = z[col]
+                z = [a - f * p for a, p in zip(z, T[r])]
+
+    z1 = run_simplex([Fraction(0)] * n + [Fraction(-1)] * m, width)
+    if z1[width] != 0:
+        return ("infeasible", None, None,
+                [sign[i] * (1 + z1[n + i]) for i in range(m)])
+    for i in range(m):
+        if basis[i] >= n:
+            col = next((j for j in range(n) if T[i][j] != 0), None)
+            if col is not None:
+                pivot(i, col)
+                basis[i] = col
+    z2 = run_simplex(c, n)
+    if z2 is None:
+        return ("unbounded", None, None, None)
+    x = [Fraction(0)] * n
+    for i, bi in enumerate(basis):
+        if bi < n:
+            x[bi] = T[i][width]
+    return ("optimal", x, sum(ci * xi for ci, xi in zip(c, x)), None)
+
+
+def assert_matches_reference(c, A, b):
+    """solve_lp equals the reference field for field, and an optimum
+    carries a dual y with y.A >= c and y.b = c.x."""
+    res = solve_lp(c, A, b)
+    assert (res.status, res.x, res.objective, res.certificate) == \
+        reference_simplex(c, A, b)
+    if res.status == "optimal":
+        y = res.dual
+        assert len(y) == len(A)
+        for j in range(len(c)):
+            assert sum(y[i] * A[i][j] for i in range(len(A))) >= c[j]
+        assert sum(yi * bi for yi, bi in zip(y, b)) == res.objective
+    else:
+        assert res.dual is None
+    return res
+
+
+def _random_rational(rng, lo, hi):
+    return Fraction(rng.randint(lo, hi), rng.randint(1, 6))
+
+
+def test_matches_fraction_reference_on_random_lps():
+    rng = random.Random(11)
+    statuses = []
+    for _ in range(300):
+        m = rng.randint(1, 5)
+        n = rng.randint(1, 7)
+        A = [[_random_rational(rng, -4, 4) if rng.random() < 0.7
+              else Fraction(0) for _ in range(n)] for _ in range(m)]
+        b = [_random_rational(rng, -5, 5) if rng.random() < 0.7
+             else Fraction(0) for _ in range(m)]
+        for i in range(m):
+            kind = rng.random()
+            if kind < 0.15:             # an all-zero row, zero rhs
+                A[i], b[i] = [Fraction(0)] * n, Fraction(0)
+            elif kind < 0.3 and i:      # a repeat of an earlier row
+                k = rng.randrange(i)
+                A[i], b[i] = A[k][:], b[k]
+        c = [_random_rational(rng, -3, 3) for _ in range(n)]
+        statuses.append(assert_matches_reference(c, A, b).status)
+    assert all(statuses.count(s) > 10
+               for s in ("optimal", "infeasible", "unbounded"))
+
+
+def _captured_metric_lps(monkeypatch, G, p, shapes, delta_root_free):
+    captured = []
+
+    def capture(c, A, b):
+        captured.append((c, A, b))
+        return solve_lp(c, A, b)
+
+    monkeypatch.setattr(obstruction, "solve_lp", capture)
+    for shape in shapes:
+        solve_tree_metric(G, p, shape, delta_root_free=delta_root_free)
+    monkeypatch.undo()
+    assert len(captured) == len(shapes)
+    return captured
+
+
+def test_matches_fraction_reference_on_q8_shape_lps(q8, monkeypatch):
+    leaves = [subgroup_class_of(q8, q8.closure([q8.element_by_name(g)]))
+              for g in ("tau", "sigma", "sigma*tau")]
+    shapes = enumerate_shapes(q8, leaves)
+    assert len(shapes) == 32
+    for c, A, b in _captured_metric_lps(monkeypatch, q8, 2, shapes, False):
+        assert assert_matches_reference(c, A, b).status == "infeasible"
+
+
+def test_matches_fraction_reference_on_witness_shape_lps(z2, z3,
+                                                         monkeypatch):
+    statuses = []
+    for G, p in ((z2, 2), (z3, 3)):
+        [C] = subgroup_classes(G, nontrivial_only=True)
+        shapes = [sh for k in (2, 3, 4)
+                  for sh in enumerate_shapes(G, [C] * k)]
+        for c, A, b in _captured_metric_lps(monkeypatch, G, p, shapes, True):
+            res = assert_matches_reference(c, A, b)
+            statuses.append((res.status, res.objective))
+    assert ("optimal", 0) in statuses
+    assert any(s == "optimal" and v > 0 for s, v in statuses)
+
+
+def test_negative_drive_out_pivot_keeps_denominator_positive():
+    # phase 1 makes no pivot (b = 0 and no column has a positive reduced
+    # cost), so the artificial stays basic and the drive-out step pivots
+    # on A[0][0] = -1: the only pivot of the run
+    c = [Fraction(1), Fraction(1)]
+    A = [[Fraction(-1), Fraction(-3)]]
+    b = [Fraction(0)]
+    res = assert_matches_reference(c, A, b)
+    assert res.pivots == 1
+    assert res.status == "optimal" and res.objective == 0
+    assert res.dual == [Fraction(-1)]

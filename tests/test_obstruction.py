@@ -182,6 +182,29 @@ def test_wild_single_leaf_infeasible(z2):
     assert report.certificates
 
 
+def test_objective_zero_rejections_carry_a_checked_dual(z2, monkeypatch):
+    """max t = 0 is proved by y with y.A >= c and y.b = 0: every feasible
+    x then has c.x <= y.A.x = y.b = 0."""
+    captured = []
+
+    def capture(c, A, b):
+        res = solve_lp(c, A, b)
+        captured.append((c, A, b, res))
+        return res
+
+    monkeypatch.setattr(obstruction, "solve_lp", capture)
+    report = hurwitz_feasibility(z2, 3, augmentation_char(z2) * 3)
+    assert report.verdict == "infeasible"
+    zero = [e for e in report.certificates if e.get("objective") == 0]
+    assert len(zero) == len(captured) == 2
+    for entry, (c, A, b, res) in zip(zero, captured):
+        y = entry["dual"]
+        assert y == res.dual
+        for j in range(len(c)):
+            assert sum(y[i] * A[i][j] for i in range(len(A))) >= c[j]
+        assert sum(yi * bi for yi, bi in zip(y, b)) == 0
+
+
 def test_solve_tree_metric_infeasible_reason(z2):
     full = subgroup_class_of(z2, range(2))
     sh = ("leaf", full.class_id)
