@@ -6,6 +6,7 @@ multiplicative ramification character of a cyclic p-group.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -106,15 +107,23 @@ class ClassFunction:
 
 
 def inner_product(f: ClassFunction, g: ClassFunction) -> Cyclotomic:
-    """|G|^-1 sum_sigma conj(f(sigma)) g(sigma), computed classwise."""
+    """|G|^-1 sum_sigma conj(f(sigma)) g(sigma), computed classwise.  Every
+    term |C| conj(a) b goes into one exponent vector mod N, the lcm of all
+    conductors, which is reduced once."""
     if f.group is not g.group:
         raise CharacterError("class functions on different groups")
     G = f.group
-    total = Cyclotomic.from_rational(0)
-    for size, a, b in zip((len(c) for c in G.conjugacy_classes()),
-                          f.values, g.values):
-        total = total + size * (a.conj() * b)
-    return total * Fraction(1, G.n)
+    sizes = [len(c) for c in G.conjugacy_classes()]
+    N = math.lcm(*(v.n for v in f.values), *(v.n for v in g.values))
+    vec = [0] * N
+    for size, a, b in zip(sizes, f.values, g.values):
+        sa, sb = N // a.n, N // b.n
+        bterms = [(j * sb, y * size) for j, y in enumerate(b.coeffs) if y]
+        for i, x in enumerate(a.coeffs):
+            if x:
+                for e, y in bterms:
+                    vec[(e - i * sa) % N] += x * y
+    return Cyclotomic(N, vec) * Fraction(1, G.n)
 
 
 def pair(psi: ClassFunction, f: ClassFunction) -> Fraction:
@@ -150,19 +159,25 @@ def restrict(chi: ClassFunction, H: FiniteGroup, embed: Sequence[int]
 
 def induce(chi: ClassFunction, G: FiniteGroup, embed: Sequence[int]
            ) -> ClassFunction:
-    """Induction from the subgroup with elements embed (an H-id -> G-id map)."""
-    if chi.group.n != len(embed):
+    """Induction from the subgroup with elements embed (an H-id -> G-id map):
+    Ind chi(g) = |G| / (|g^G| |H|) sum_{h in H and g^G} chi(h), summed over
+    the classes of H, each of which lies in one class of G."""
+    H = chi.group
+    if H.n != len(embed):
         raise CharacterError("embedding does not match the subgroup")
-    image = {g: h for h, g in enumerate(embed)}
-    inv_order = Fraction(1, chi.group.n)
+    classes = G.conjugacy_classes()
+    hit = [[] for _ in classes]
+    for c, v in zip(H.conjugacy_classes(), chi.values):
+        hit[G.class_of(embed[c[0]])].append((len(c), v))
     vals = []
-    for rep in G.class_reps():
-        total = Cyclotomic.from_rational(0)
-        for x in range(G.n):
-            y = G.mul(G.mul(G.inv(x), rep), x)
-            if y in image:
-                total = total + chi.values[chi.group.class_of(image[y])]
-        vals.append(total * inv_order)
+    for c, terms in zip(classes, hit):
+        N = math.lcm(*(v.n for _, v in terms))
+        vec = [0] * N
+        for size, v in terms:
+            step = N // v.n
+            for i, x in enumerate(v.coeffs):
+                vec[i * step] += size * x
+        vals.append(Cyclotomic(N, vec) * Fraction(G.n, len(c) * H.n))
     return ClassFunction(G, vals)
 
 
@@ -243,10 +258,12 @@ def character_table(G: FiniteGroup):
     k = len(classes)
     e = G.exponent()
     q = _lifting_prime(G.n, e)
-    mats = _class_matrices(G, q)
     spaces = [([[int(i == j) for j in range(k)] for i in range(k)],
                list(range(k)))]
-    for M in mats[1:]:
+    for i in range(1, k):
+        if all(len(b) == 1 for b, _ in spaces):
+            break
+        M = _class_matrix(G, i)
         nxt = []
         for space in spaces:
             if len(space[0]) == 1:
@@ -254,31 +271,32 @@ def character_table(G: FiniteGroup):
                 continue
             nxt.extend(_split_space(space, M, q))
         spaces = nxt
-        if all(len(b) == 1 for b, _ in spaces):
-            break
     if not all(len(b) == 1 for b, _ in spaces):
         raise CharacterError("eigenspace splitting incomplete")
     inv_cls = [G.inverse_class(i) for i in range(k)]
-    sizes = [len(c) for c in classes]
+    inv_sizes = [pow(len(c), q - 2, q) for c in classes]
     z = _primitive_root_of_unity(q, e)
+    powers = _power_classes(G)
+    sources = _rational_class_sources(powers)
+    fourier = {o: _fourier_rows(o, pow(z, e // o, q), q)
+               for o in {len(row) for row in powers}}
     chars = []
     for (vec,), _ in spaces:
         if vec[0] == 0:
             raise CharacterError("degenerate eigenvector")
         inv0 = pow(vec[0], q - 2, q)
         omega = [v * inv0 % q for v in vec]
-        t = 0
-        for j in range(k):
-            t = (t + omega[j] * omega[inv_cls[j]] *
-                 pow(sizes[j], q - 2, q)) % q
+        t = sum(omega[j] * omega[inv_cls[j]] * inv_sizes[j]
+                for j in range(k)) % q
         d2 = G.n * pow(t, q - 2, q) % q
         # q > 2 sqrt(n) n, so the degree d <= sqrt(n) is fixed by d^2 mod q
         d = next((d for d in range(1, math.isqrt(G.n) + 1)
                   if d * d % q == d2), None)
         if d is None:
             raise CharacterError("degree lifting failed")
-        x = [d * omega[j] * pow(sizes[j], q - 2, q) % q for j in range(k)]
-        chars.append(_lift_character(G, x, d, z, e, q))
+        x = [d * omega[j] * inv_sizes[j] % q for j in range(k)]
+        chars.append(ClassFunction(
+            G, _lift_character(x, d, q, powers, sources, fourier)))
     total = sum(int(c.degree().to_fraction()) ** 2 for c in chars)
     if total != G.n or len(chars) != k:
         raise CharacterError("character table reconstruction failed")
@@ -288,33 +306,61 @@ def character_table(G: FiniteGroup):
     return chars
 
 
-def _lift_character(G, xmod, degree, z, e, q):
-    classes = G.conjugacy_classes()
-    vals = []
-    for i, c in enumerate(classes):
-        rep = c[0]
-        o = G.order_of[rep]
-        zo = pow(z, e // o, q)
-        inv_o = pow(o, q - 2, q)
-        xpow = []
+def _power_classes(G: FiniteGroup):
+    """For each class, the classes of rep^s for s < o(rep)."""
+    out = []
+    for rep in G.class_reps():
+        row = []
         g = G.identity
-        for _ in range(o):
-            xpow.append(xmod[G.class_of(g)])
+        for _ in range(G.order_of[rep]):
+            row.append(G.class_of(g))
             g = G.mul(g, rep)
-        zpow = [1] * o
-        for s in range(1, o):
-            zpow[s] = zpow[s - 1] * zo % q
-        coeffs = []
-        for t in range(o):
-            m = 0
-            for s in range(o):
-                m = (m + xpow[s] * zpow[(-t * s) % o]) % q
-            m = m * inv_o % q
-            if m > degree:
-                raise CharacterError("multiplicity lifting failed")
-            coeffs.append(m)
-        vals.append(Cyclotomic(o, coeffs))
-    return ClassFunction(G, vals)
+        out.append(row)
+    return out
+
+
+def _rational_class_sources(powers):
+    """(i, u) for each class: it holds rep_i^u, with gcd(u, o) = 1 and i the
+    first class of its rational class, so chi there is sigma_u(chi(rep_i))."""
+    sources = [None] * len(powers)
+    for i, row in enumerate(powers):
+        if sources[i] is None:
+            sources[i] = (i, 1)
+            o = len(row)
+            for u in range(2, o):
+                if math.gcd(u, o) == 1 and sources[row[u]] is None:
+                    sources[row[u]] = (i, u)
+    return sources
+
+
+def _fourier_rows(o, zo, q):
+    """Row t maps the values mod q of a character at g^s, s < o, to the
+    multiplicity of the eigenvalue zo^t of g: sum_s x_s zo^(-ts) / o."""
+    zpow = [1] * o
+    for s in range(1, o):
+        zpow[s] = zpow[s - 1] * zo % q
+    inv_o = pow(o, q - 2, q)
+    return [[zpow[-t * s % o] * inv_o % q for s in range(o)]
+            for t in range(o)]
+
+
+def _lift_character(xmod, degree, q, powers, sources, fourier):
+    """Cyclotomic values from the values mod q: at the first class of each
+    rational class, the multiplicity of each eigenvalue zeta_o^t by a
+    discrete Fourier sum mod q; at the others, its Galois images."""
+    vals = []
+    for i, row in enumerate(powers):
+        src, u = sources[i]
+        if src != i:
+            vals.append(vals[src].galois(u))
+            continue
+        xpow = [xmod[c] for c in row]
+        coeffs = [sum(map(operator.mul, xpow, w)) % q
+                  for w in fourier[len(row)]]
+        if max(coeffs) > degree:
+            raise CharacterError("multiplicity lifting failed")
+        vals.append(Cyclotomic(len(row), coeffs))
+    return vals
 
 
 def _lifting_prime(n: int, e: int) -> int:
@@ -325,22 +371,17 @@ def _lifting_prime(n: int, e: int) -> int:
     return q
 
 
-def _class_matrices(G: FiniteGroup, q: int):
+def _class_matrix(G: FiniteGroup, i: int):
+    """Row j of M_i as the nonzero (l, a_ijl), with C_i C_j = sum_l a_ijl
+    C_l, so that the omega-vectors are eigenvectors: (M omega)_j =
+    omega_i omega_j.  Each a_ijl <= |C_i| < q."""
     classes = G.conjugacy_classes()
-    k = len(classes)
-    reps = [c[0] for c in classes]
-    mats = []
-    for i in range(k):
-        # M[j][l] = a_{ijl} with C_i C_j = sum_l a_{ijl} C_l, so that the
-        # omega-vectors are eigenvectors: (M omega)_j = omega_i omega_j.
-        M = [[0] * k for _ in range(k)]
-        for l in range(k):
-            gl = reps[l]
-            for x in classes[i]:
-                j = G.class_of(G.mul(G.inv(x), gl))
-                M[j][l] = (M[j][l] + 1) % q
-        mats.append(M)
-    return mats
+    rows = [{} for _ in classes]
+    for l, gl in enumerate(G.class_reps()):
+        for x in classes[i]:
+            row = rows[G.class_of(G.mul(G.inv(x), gl))]
+            row[l] = row.get(l, 0) + 1
+    return [list(row.items()) for row in rows]
 
 
 def _rref_mod(rows, q):
@@ -365,42 +406,54 @@ def _rref_mod(rows, q):
 
 def _split_space(space, M, q):
     """Split an M-invariant subspace, given as (echelon basis, pivots),
-    into the eigenspaces of M, each again in echelon form."""
+    into the eigenspaces of M, each again in echelon form.  M is sparse,
+    as _class_matrix gives it."""
     basis, pivots = space
     d = len(basis)
-    # R[i][j]: M b_i = sum_j R[i][j] b_j, read off at the pivot columns
-    R = []
-    for b in basis:
-        w = [sum(x * y for x, y in zip(row, b)) % q for row in M]
-        coords = [w[p] for p in pivots]
-        if w != _combine(coords, basis, q):
-            raise CharacterError("class matrix does not preserve subspace")
-        R.append(coords)
-    # transpose to act on coordinates
-    A = [list(col) for col in zip(*R)]
+    cols = [list(col) for col in zip(*basis)]      # transposed once
+    W = _sparse_mul(M, cols, q)         # W[t][j] = (M b_j)[t]
+    # M b_j = sum_i A[i][j] b_i: at pivot p_i the basis is the unit vector
+    A = [W[p] for p in pivots]
+    if _sparse_mul([_nonzero(col) for col in cols], A, q) != W:
+        raise CharacterError("class matrix does not preserve subspace")
     out = []
     for lam in _roots_mod(_charpoly_mod(A, q), q):
         rows, piv = _rref_mod(
             [[(A[i][j] - (lam if i == j else 0)) % q for j in range(d)]
              for i in range(d)], q)
-        vecs = []
+        kernel = []
         for fc in (c for c in range(d) if c not in piv):
             coords = [0] * d
             coords[fc] = 1
             for row, pc in zip(rows, piv):
                 coords[pc] = -row[fc] % q
-            vecs.append(_combine(coords, basis, q))
-        if vecs:
-            out.append(_rref_mod(vecs, q))
+            kernel.append(coords)
+        if kernel:
+            out.append(_rref_mod(_sparse_mul(
+                [_nonzero(c) for c in kernel], basis, q), q))
     if sum(len(b) for b, _ in out) != d:
         raise CharacterError("eigen splitting lost dimensions")
     return out
 
 
-def _combine(coords, basis, q):
-    """sum_j coords[j] basis[j] over F_q."""
-    return [sum(c * x for c, x in zip(coords, col)) % q
-            for col in zip(*basis)]
+def _nonzero(v):
+    return [(i, x) for i, x in enumerate(v) if x]
+
+
+def _sparse_mul(X, Y, q):
+    """The rows of X Y over F_q, with each row of X given by its nonzero
+    (i, x_i): a sum of the rows Y[i] scaled by x_i."""
+    out = []
+    for row in X:
+        if len(row) == 1:
+            i, x = row[0]
+            out.append([x * y % q for y in Y[i]])
+            continue
+        acc = [0] * len(Y[0])
+        for i, x in row:
+            acc = [a + x * y for a, y in zip(acc, Y[i])]
+        out.append([a % q for a in acc])
+    return out
 
 
 def _charpoly_mod(A, q):
@@ -444,15 +497,102 @@ def _charpoly_mod(A, q):
 
 
 def _roots_mod(coeffs, q):
-    """Distinct roots in F_q of a polynomial given lowest degree first."""
+    """Distinct roots, ascending, in F_q (q an odd prime) of a nonzero
+    polynomial f of degree < q, given lowest degree first.  g = f / gcd(f,
+    f') is the product of f's distinct irreducible factors, gcd(g, x^q - x)
+    the product of x - r over its roots r, and gcd(h, (x + a)^((q-1)/2) - 1)
+    for a = 0, 1, 2, ... splits every factor h of it until each is linear
+    (Cantor-Zassenhaus equal-degree splitting)."""
+    f = _poly_monic(coeffs, q)
+    df = _poly_trim([i * c % q for i, c in enumerate(f)][1:])
+    g = _poly_divmod(f, _poly_gcd(f, df, q), q)[0] if df else f
+    if len(g) > 2:      # a linear g divides x^q - x already
+        g = _poly_gcd(g, _poly_sub(_linear_powmod(0, q, g, q), [0, 1], q), q)
+    todo = [g]
     roots = []
-    for x in range(q):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * x + c) % q
-        if not acc:
-            roots.append(x)
-    return roots
+    while todo:
+        h = todo.pop()
+        if len(h) == 2:
+            roots.append(-h[0] % q)
+        elif len(h) > 2:
+            # for roots r != r' some a in F_q makes exactly one of r + a,
+            # r' + a a nonzero square
+            for a in range(q):
+                s = _poly_gcd(h, _poly_sub(
+                    _linear_powmod(a, (q - 1) // 2, h, q), [1], q), q)
+                if 1 < len(s) < len(h):
+                    todo += [s, _poly_divmod(h, s, q)[0]]
+                    break
+            else:
+                raise CharacterError("root splitting failed")
+    return sorted(roots)
+
+
+# polynomials over F_q: lists lowest degree first, with a nonzero top
+# coefficient ([] is the zero polynomial)
+
+def _poly_trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _poly_monic(a, q):
+    a = _poly_trim([x % q for x in a])
+    inv = pow(a[-1], q - 2, q)
+    return [x * inv % q for x in a]
+
+
+def _poly_sub(a, b, q):
+    n = max(len(a), len(b))
+    return _poly_trim([((a[i] if i < len(a) else 0) -
+                        (b[i] if i < len(b) else 0)) % q for i in range(n)])
+
+
+def _poly_divmod(a, b, q):
+    """(quotient, remainder) of a by b != 0."""
+    r = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], q - 2, q)
+    quot = [0] * max(len(a) - db, 0)
+    for s in range(len(quot) - 1, -1, -1):
+        c = r[s + db] * inv % q
+        quot[s] = c
+        if c:
+            for i, y in enumerate(b):
+                r[s + i] = (r[s + i] - c * y) % q
+    return quot, _poly_trim([x % q for x in r[:db]])
+
+
+def _poly_gcd(a, b, q):
+    """The monic gcd of a and b, not both zero."""
+    while b:
+        a, b = b, _poly_divmod(a, b, q)[1]
+    return _poly_monic(a, q)
+
+
+def _linear_powmod(a, k, f, q):
+    """(x + a)^k mod the monic f, from the top bit of k down: a product
+    with x + a is a shift and one reduction step."""
+    d = len(f) - 1
+    r = [1]
+    for bit in bin(k)[2:]:
+        sq = [0] * (2 * len(r) - 1)
+        for i, x in enumerate(r):
+            if x:
+                for j, y in enumerate(r):
+                    sq[i + j] += x * y
+        r = _poly_divmod(sq, f, q)[1]
+        if bit == "1":
+            r = [0] + r
+            for i in range(len(r) - 1):
+                r[i] = (r[i] + a * r[i + 1]) % q
+            if len(r) > d:
+                c = r.pop()
+                for i in range(d):
+                    r[i] = (r[i] - c * f[i]) % q
+            _poly_trim(r)
+    return r
 
 
 def _primitive_root_of_unity(q, e):

@@ -5,6 +5,7 @@ generalized-quaternion counterexample report."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -42,38 +43,35 @@ def bertin_check(a: ClassFunction) -> List[Tuple[SubgroupClass, ...]]:
         raise ObstructionError("input is not a true character")
     if pair(one_char(G), a) != 0:
         raise ObstructionError("input pairs nontrivially with 1_G")
+    # every u* is rational-valued, and so is every sum of them
+    if not all(v.is_rational() for v in a.values):
+        raise ObstructionError("input is not rational-valued")
     classes = [C for C in subgroup_classes(G, nontrivial_only=True)
                if C.is_cyclic]
-    zero = ClassFunction(G, [0] * len(G.conjugacy_classes()))
     found: List[Tuple[SubgroupClass, ...]] = []
 
-    def remaining_ok(f: ClassFunction) -> bool:
-        # any sum of u*-characters has nonneg degree and nonpositive
-        # values off the identity
-        if not f.degree().to_fraction() >= 0:
-            return False
-        for i, v in enumerate(f.values):
-            if i and v.to_fraction() > 0:
-                return False
-        return True
+    @functools.cache
+    def u_star_values(i: int) -> tuple:
+        return tuple(v.to_fraction() for v in cached_u_star(classes[i]).values)
 
-    def dfs(i: int, rest: ClassFunction, picked: List[SubgroupClass]):
-        if rest == zero:
+    def dfs(i: int, rest: tuple, picked: List[SubgroupClass]):
+        if not any(rest):
             found.append(tuple(picked))
             return
         if i == len(classes):
             return
-        if not remaining_ok(rest):
+        # any sum of u*-characters has nonneg degree and nonpositive
+        # values off the identity
+        if rest[0] < 0 or any(v > 0 for v in rest[1:]):
             return
         dfs(i + 1, rest, picked)
-        C = classes[i]
-        nxt = rest - cached_u_star(C)
-        if nxt.degree().to_fraction() >= 0:
-            picked.append(C)
+        nxt = tuple(x - y for x, y in zip(rest, u_star_values(i)))
+        if nxt[0] >= 0:
+            picked.append(classes[i])
             dfs(i, nxt, picked)
             picked.pop()
 
-    dfs(0, a, [])
+    dfs(0, tuple(v.to_fraction() for v in a.values), [])
     found.sort(key=lambda t: tuple(C.class_id for C in t))
     return found
 

@@ -5,14 +5,15 @@ from fractions import Fraction
 import pytest
 
 from hurwitz.characters import (CharacterError, ClassFunction,
-                                _charpoly_mod, augmentation_char,
+                                _charpoly_mod, _roots_mod, augmentation_char,
                                 character_table, delta_mult, delta_mult_star,
                                 induce, inflate, inner_product,
                                 is_true_character, multiplicities, one_char,
                                 pair, regular_char, restrict, u_star)
 from hurwitz.cyclotomic import Cyclotomic
-from hurwitz.groups import (cyclic, elementary_abelian, from_permutations,
-                            generalized_quaternion, subgroup_class_of,
+from hurwitz.groups import (cyclic, dihedral, elementary_abelian,
+                            from_permutations, generalized_quaternion,
+                            semidirect_metacyclic, subgroup_class_of,
                             subgroup_classes)
 
 ONE = Cyclotomic.from_rational(1)
@@ -197,3 +198,94 @@ def test_pair_is_rational(q8):
     a = augmentation_char(q8)
     for chi in character_table(q8):
         assert isinstance(pair(chi, a), Fraction)
+
+
+# -- differential tests against the per-element and classwise references --
+
+def reference_induce(chi, G, embed):
+    """Induction summed over every element of G, one cyclotomic add each."""
+    image = {g: h for h, g in enumerate(embed)}
+    inv_order = Fraction(1, chi.group.n)
+    vals = []
+    for rep in G.class_reps():
+        total = Cyclotomic.from_rational(0)
+        for x in range(G.n):
+            y = G.mul(G.mul(G.inv(x), rep), x)
+            if y in image:
+                total = total + chi.values[chi.group.class_of(image[y])]
+        vals.append(total * inv_order)
+    return ClassFunction(G, vals)
+
+
+def reference_inner_product(f, g):
+    """Classwise inner product: a conj, a product and a lifting add per
+    class."""
+    total = Cyclotomic.from_rational(0)
+    for size, a, b in zip((len(c) for c in f.group.conjugacy_classes()),
+                          f.values, g.values):
+        total = total + size * (a.conj() * b)
+    return total * Fraction(1, f.group.n)
+
+
+def _coordinates(values):
+    return [(v.n, v.coeffs) for v in values]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: dihedral(5), lambda: generalized_quaternion(3),
+    lambda: from_permutations(A5), lambda: semidirect_metacyclic(7, 3, 2),
+    lambda: elementary_abelian(2, 4),
+], ids=["D5", "Q16", "A5", "C7:C3", "E(2^4)"])
+def test_induce_and_inner_product_match_references(make):
+    G = make()
+    irr = character_table(G)
+    induced = []
+    for C in subgroup_classes(G):
+        H, embed = C.as_group()
+        for chi in character_table(H) + [augmentation_char(H)]:
+            ind = induce(chi, G, embed)
+            assert _coordinates(ind.values) == _coordinates(
+                reference_induce(chi, G, embed).values), (C.class_id, chi)
+            induced.append(ind)
+    for chi in irr:
+        for psi in irr + induced:
+            new, ref = inner_product(chi, psi), \
+                reference_inner_product(chi, psi)
+            assert (new.n, new.coeffs) == (ref.n, ref.coeffs)
+
+
+def reference_roots(coeffs, q):
+    """Distinct roots in F_q by evaluating the polynomial at every x."""
+    roots = []
+    for x in range(q):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * x + c) % q
+        if not acc:
+            roots.append(x)
+    return roots
+
+
+def test_roots_match_the_scan_of_every_residue():
+    rng = random.Random(13)
+    for q in (3, 5, 7, 11, 97, 1153):
+        for _ in range(40):
+            # a unit times linear factors, some repeated, and every other
+            # time x^2 - c for a non-square c, which has no root in F_q;
+            # the degree stays below q, as _roots_mod requires
+            quadratic = rng.random() < 0.5
+            roots = [rng.randrange(q) for _ in range(rng.randint(1, 9))]
+            roots += rng.choices(roots, k=rng.randint(0, 4))
+            factors = [[-r % q, 1] for r in roots[:q - 1 - 2 * quadratic]]
+            if quadratic:
+                c = next(c for c in range(2, q) if pow(c, (q - 1) // 2, q)
+                         == q - 1)
+                factors.append([-c % q, 0, 1])
+            poly = [rng.randrange(1, q)]
+            for f in factors:
+                prod = [0] * (len(poly) + len(f) - 1)
+                for i, x in enumerate(poly):
+                    for j, y in enumerate(f):
+                        prod[i + j] = (prod[i + j] + x * y) % q
+                poly = prod
+            assert _roots_mod(poly, q) == reference_roots(poly, q), (poly, q)

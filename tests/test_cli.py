@@ -147,6 +147,10 @@ CHAR_TABLE_GOLDEN = {
         {"builder": "cyclic", "params": {"n": 3}},
         {"builder": "dihedral", "params": {"n": 4}}]},
         "e31b2b5bd02e98abcf6c5d0c0ba46c00623d80f5499ed90887439242d1b50c94"),
+    "C64": ({"builder": "cyclic", "params": {"n": 64}},
+            "f73a4f71c1eb167205157b856fdcae031bfb20b41efd5820eabe75b4d2905753"),
+    "Q128": ({"builder": "generalized_quaternion", "params": {"n": 6}},
+             "77e50e2578c6daf19886e0805e43cb778e79e55d9f6966f1cd5f0ecaba6cac6a"),
 }
 
 
@@ -273,6 +277,22 @@ def test_obstruct_bertin_exit(capsys, write_json):
     bad = write_json("b.json", {"group": z4, "values": ["2", "2", "-2", "-2"]})
     code, _, _ = run(capsys, "obstruct", "bertin", bad)
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [["bertin"], ["hurwitz", "--p", "3"]],
+                         ids=["bertin", "hurwitz"])
+def test_obstruct_refuses_a_character_that_is_not_rational_valued(
+        capsys, write_json, argv):
+    # a linear character of C3: a true character orthogonal to 1, but no
+    # sum of u* characters, which are all rational-valued
+    linear = write_json("a.json", {
+        "group": {"builder": "cyclic", "params": {"n": 3}},
+        "values": ["1", {"conductor": 3, "coeffs": ["0", "1"]},
+                   {"conductor": 3, "coeffs": ["0", "0", "1"]}]})
+    code, _, err = run(capsys, "obstruct", argv[0], linear, *argv[1:])
+    assert code == 65
+    assert "input is not rational-valued" in err
+    assert "ValueError" not in err
 
 
 def test_group_info_refuses_empty_direct_product(capsys, write_json):

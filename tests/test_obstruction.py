@@ -1,18 +1,27 @@
 import itertools
+import json
+import os
+import runpy
 from fractions import Fraction
 
 import pytest
 
 import hurwitz.obstruction as obstruction
-from hurwitz.characters import (augmentation_char, character_table,
-                                delta_mult_star, one_char, pair, u_star)
-from hurwitz.groups import cyclic, subgroup_class_of, subgroup_classes
+from hurwitz.characters import (ClassFunction, augmentation_char,
+                                character_table, delta_mult_star, one_char,
+                                pair, u_star)
+from hurwitz.files import parse_cyclotomic
+from hurwitz.groups import (build_group, cyclic, subgroup_class_of,
+                            subgroup_classes)
 from hurwitz.lp import solve_lp
 from hurwitz.obstruction import (ObstructionError, _multiset_partitions,
                                  bertin_check, enumerate_shapes,
                                  grid_feasibility, hurwitz_feasibility,
                                  quaternion_report, solve_tree_metric)
-from hurwitz.trees import all_axioms_pass, validate
+from hurwitz.trees import all_axioms_pass, cached_u_star, validate
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
 
 
 def test_bertin_decompositions_z2(z2):
@@ -20,6 +29,61 @@ def test_bertin_decompositions_z2(z2):
     decomps = bertin_check(a)
     assert len(decomps) == 1
     assert [C.order for C in decomps[0]] == [2, 2]
+
+
+def reference_bertin_check(a):
+    """The depth-first search of bertin_check in cyclotomic arithmetic:
+    ClassFunction subtraction and a to_fraction per value tested."""
+    G = a.group
+    classes = [C for C in subgroup_classes(G, nontrivial_only=True)
+               if C.is_cyclic]
+    zero = ClassFunction(G, [0] * len(G.conjugacy_classes()))
+    found = []
+
+    def remaining_ok(f):
+        if not f.degree().to_fraction() >= 0:
+            return False
+        return all(not (i and v.to_fraction() > 0)
+                   for i, v in enumerate(f.values))
+
+    def dfs(i, rest, picked):
+        if rest == zero:
+            found.append(tuple(picked))
+            return
+        if i == len(classes) or not remaining_ok(rest):
+            return
+        dfs(i + 1, rest, picked)
+        nxt = rest - cached_u_star(classes[i])
+        if nxt.degree().to_fraction() >= 0:
+            picked.append(classes[i])
+            dfs(i, nxt, picked)
+            picked.pop()
+
+    dfs(0, a, [])
+    found.sort(key=lambda t: tuple(C.class_id for C in t))
+    return found
+
+
+def test_bertin_matches_cyclotomic_reference_on_catalog_characters():
+    # the characters and groups of the benchmark's group_catalog workload
+    with open(os.path.join(PERFBENCH, "expected.json")) as fh:
+        pool = json.load(fh)["group_catalog"]
+    catalog = runpy.run_path(os.path.join(PERFBENCH, "workloads.py"))[
+        "CATALOG_GROUPS"]
+    groups = {}
+    decompositions = 0
+    for key in sorted(pool):
+        name = key.rsplit("/", 1)[0]
+        if name not in groups:
+            groups[name] = build_group(catalog[name])
+        G = groups[name]
+        a = ClassFunction(G, [parse_cyclotomic(v, G.exponent())
+                              for v in pool[key]["values"]])
+        found = bertin_check(a)
+        assert found == reference_bertin_check(a), key
+        assert bool(found) == pool[key]["fields"]["vanishes"], key
+        decompositions += len(found)
+    assert decompositions > 0
 
 
 def test_bertin_empty_when_not_decomposable(z4):
