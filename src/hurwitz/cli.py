@@ -9,6 +9,7 @@ error (a violated precondition or axiom, named in the message).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import __version__
@@ -290,7 +291,10 @@ def cmd_quaternion(args) -> int:
 
 # -- argument wiring --
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The hg parser, built on the first call and reused: parsing leaves
+    no state in it."""
     top = _Parser(prog="hg", description=__doc__)
     top.add_argument("--version", action="version",
                      version=f"hg {__version__}")

@@ -6,15 +6,18 @@ The tableau is fraction-free (Bareiss, Math. Comp. 22, 1968; Azulay and
 Pique, ACM TOMS 27(3), 2001): A and b are scaled by L, the lcm of all their
 denominators, and T holds Python ints equal to d times the Fraction tableau
 for one shared d > 0. A pivot on p = T[r][col] maps each other row R to
-(p*R - R[col]*T[r]) // d, an exact division, and p becomes d. Ratios are
-compared exactly, so the pivots are those of the simplex on Fractions."""
+(p*R - R[col]*T[r]) // d, an exact division, and p becomes d. Each row is
+kept sparse, as {column: nonzero int}: a pivot touches only the rows with
+a nonzero in its column, and rescales the others only when p != d. Ratios
+are compared exactly by cross-multiplication, so the pivots are those of
+the simplex on Fractions."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 
 class LPError(ValueError):
@@ -41,29 +44,35 @@ def solve_lp(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LPResult:
     m, n = len(A), len(c)
     if any(len(r) != n for r in A) or len(b) != m:
         raise LPError("dimension mismatch")
+    # the caller's own nonzero entries, row by row: the tableau is built
+    # from them and every certificate is checked against them
+    nonzero = [[(j, v) for j, v in enumerate(row) if v] for row in A]
     sign = [1 if b[i] >= 0 else -1 for i in range(m)]
     # one scale for all rows: a scale per row would change the phase-1
     # reduced costs, and with them the pivots and the vertex found
-    L = lcm(*(v.denominator for row in A for v in row),
+    L = lcm(*(v.denominator for nz in nonzero for _, v in nz),
             *(v.denominator for v in b))
+    width = n + m               # artificial columns n..n+m-1; rhs at width
 
-    def ints(k, row, s=1):      # s*k*row, k a multiple of each denominator
-        return [s * v.numerator * (k // v.denominator) for v in row]
+    def scaled(v, k):           # k*v, k a multiple of v's denominator
+        return v.numerator * (k // v.denominator)
 
-    def times(y, M):            # y.M, summed over the nonzero terms only
+    def times(Y):               # Y.A, summed over the nonzero terms only
         out = [0] * n
-        for yi, row in zip(y, M):
+        for yi, nz in zip(Y, nonzero):
             if yi:
-                for j, a in enumerate(row):
-                    if a:
-                        out[j] += yi * a
+                for j, a in nz:
+                    out[j] += yi * a
         return out
 
-    # tableau with artificial columns n..n+m-1; last column = rhs
-    T = [ints(L, A[i], sign[i]) + [int(i == j) for j in range(m)]
-         + ints(L, [b[i]], sign[i]) for i in range(m)]
+    T: List[Dict[int, int]] = []
+    for i, nz in enumerate(nonzero):
+        row = {j: sign[i] * scaled(v, L) for j, v in nz}
+        row[n + i] = 1
+        if b[i]:
+            row[width] = sign[i] * scaled(b[i], L)
+        T.append(row)
     basis = [n + i for i in range(m)]
-    width = n + m
     d = 1
     pivots = 0
 
@@ -72,68 +81,85 @@ def solve_lp(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LPResult:
         nonlocal d, pivots
         p, pr = T[r][col], T[r]
         for i, row in enumerate(T):
-            f = row[col]
-            if i != r and f != 0:
-                T[i] = [(p * a - f * q) // d for a, q in zip(row, pr)]
-            elif i != r and p != d:
-                T[i] = [p * a // d for a in row]
+            if i == r:
+                continue
+            f = row.get(col)
+            if f:
+                new = {j: p * a for j, a in row.items()}
+                for j, q in pr.items():
+                    new[j] = new.get(j, 0) - f * q
+                T[i] = {j: v // d for j, v in new.items() if v}
+            elif p != d:
+                T[i] = {j: p * a // d for j, a in row.items()}
         d, pivots, basis[r] = p, pivots + 1, col
 
-    def run_simplex(obj: List[int], allowed: int) -> Optional[List[int]]:
+    def run_simplex(obj: Dict[int, int], allowed: int):
         """Maximize obj.x over columns [0, allowed); returns the reduced
         objective row over d (entry `width` holds -d times the optimal
         value), or None when unbounded."""
-        o = obj + [0] * (width + 1 - len(obj))
-        z = [d * v for v in o]
+        z = {j: d * v for j, v in obj.items()}
         for i, bi in enumerate(basis):
-            if o[bi] != 0:      # column bi of T is d times a unit vector
-                z = [a - o[bi] * t for a, t in zip(z, T[i])]
-        T.append(z)             # row m while the phase runs
-        while (col := next((j for j in range(allowed) if T[m][j] > 0),
-                           None)) is not None:
-            ratios = [(Fraction(T[i][width], T[i][col]), basis[i], i)
-                      for i in range(m) if T[i][col] > 0]
-            if not ratios:
+            f = obj.get(bi)
+            if f:               # column bi of T is d times a unit vector
+                for j, t in T[i].items():
+                    z[j] = z.get(j, 0) - f * t
+        T.append({j: v for j, v in z.items() if v})   # row m while it runs
+        while (col := min((j for j, v in T[m].items()
+                           if v > 0 and j < allowed), default=None)) \
+                is not None:
+            # Bland: the least ratio rhs/a over a > 0, compared as
+            # h * a' < h' * a; ties go to the least basic variable
+            r = -1
+            for i in range(m):
+                a = T[i].get(col, 0)
+                if a > 0:
+                    h = T[i].get(width, 0)
+                    if r < 0 or h * ar < hr * a or \
+                            (h * ar == hr * a and basis[i] < basis[r]):
+                        r, ar, hr = i, a, h
+            if r < 0:
                 T.pop()
                 return None
-            _, _, r = min(ratios)    # Bland: least index among min ratios
             pivot(r, col)
         return T.pop()
 
     # phase 1: maximize -sum(artificials); feasible iff the optimum is 0
-    z1 = run_simplex([0] * n + [-1] * m, width)
+    z1 = run_simplex({n + i: -1 for i in range(m)}, width)
     assert z1 is not None           # bounded: objective <= 0 always
-    if z1[width] != 0:              # -optimum > 0: infeasible
-        y = [Fraction(sign[i] * (d + z1[n + i]), d) for i in range(m)]
-        assert all(v <= 0 for v in times(y, A)) and \
-            sum(yi * bi for yi, bi in zip(y, b)) > 0, "bad Farkas certificate"
-        return LPResult("infeasible", None, None, y, pivots=pivots)
+    if z1.get(width, 0) != 0:       # -optimum > 0: infeasible
+        Y = [sign[i] * (d + z1.get(n + i, 0)) for i in range(m)]  # d*y
+        assert all(v <= 0 for v in times(Y)) and \
+            sum(yi * bi for yi, bi in zip(Y, b)) > 0, "bad Farkas certificate"
+        return LPResult("infeasible", None, None,
+                        [Fraction(v, d) for v in Y], pivots=pivots)
 
     # drive leftover artificials out of the basis (degenerate rows); one
     # stays only on an all-zero row with zero rhs, which is redundant
     for i in range(m):
         if basis[i] >= n:
-            col = next((j for j in range(n) if T[i][j] != 0), None)
+            col = min((j for j in T[i] if j < n), default=None)
             if col is not None:
                 pivot(i, col)
                 if d < 0:           # keep the shared denominator positive
-                    T[:] = [[-v for v in row] for row in T]
+                    T[:] = [{j: -v for j, v in row.items()} for row in T]
                     d = -d
 
     Lc = lcm(*(v.denominator for v in c))
-    z2 = run_simplex(ints(Lc, c), n)
+    z2 = run_simplex({j: scaled(v, Lc) for j, v in enumerate(c) if v}, n)
     if z2 is None:
         return LPResult("unbounded", None, None, None, pivots=pivots)
-    row_of = {bi: i for i, bi in enumerate(basis)}
-    x = [Fraction(T[row_of[j]][width] if j in row_of else 0, d)
-         for j in range(n)]
-    support = [j for j in range(n) if x[j]]
-    assert all(sum(A[i][j] * x[j] for j in support if A[i][j]) == b[i]
-               for i in range(m)) and all(v >= 0 for v in x), \
+    X = [0] * n                     # d*x
+    for i, bi in enumerate(basis):
+        if bi < n:
+            X[bi] = T[i].get(width, 0)
+    assert all(sum(a * X[j] for j, a in nz) == d * bi
+               for nz, bi in zip(nonzero, b)) and all(v >= 0 for v in X), \
         "reported solution infeasible"
-    objective = sum(ci * xi for ci, xi in zip(c, x))
+    objective = Fraction(sum(cj * xj for cj, xj in zip(c, X) if xj), d)
     # the phase-2 artificial columns hold -d*Lc/L times the multipliers
-    y = [Fraction(-sign[i] * L * z2[n + i], d * Lc) for i in range(m)]
-    assert all(v >= cj for v, cj in zip(times(y, A), c)) and \
-        sum(yi * bi for yi, bi in zip(y, b)) == objective, "bad dual"
-    return LPResult("optimal", x, objective, None, y, pivots)
+    Y = [-sign[i] * L * z2.get(n + i, 0) for i in range(m)]     # d*Lc*y
+    dLc = d * Lc
+    assert all(v >= dLc * cj for v, cj in zip(times(Y), c)) and \
+        sum(yi * bi for yi, bi in zip(Y, b)) == dLc * objective, "bad dual"
+    return LPResult("optimal", [Fraction(v, d) for v in X], objective, None,
+                    [Fraction(v, dLc) for v in Y], pivots)

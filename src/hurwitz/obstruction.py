@@ -29,8 +29,22 @@ class ObstructionError(ValueError):
     pass
 
 
+def _per_group(G: FiniteGroup, key: str, make):
+    """make(), computed once per group and kept in its _subgroup_cache."""
+    if key not in G._subgroup_cache:
+        G._subgroup_cache[key] = make()
+    return G._subgroup_cache[key]
+
+
 def _full_class(G: FiniteGroup) -> SubgroupClass:
-    return subgroup_class_of(G, frozenset(range(G.n)))
+    return _per_group(G, "full_class",
+                      lambda: subgroup_class_of(G, frozenset(range(G.n))))
+
+
+def _trivial_index(G: FiniteGroup) -> int:
+    """The index of the trivial character in character_table(G)."""
+    return _per_group(G, "trivial_index",
+                      lambda: character_table(G).index(one_char(G)))
 
 
 # -- Bertin decompositions --
@@ -125,6 +139,7 @@ def enumerate_shapes(G: FiniteGroup,
         by_id.setdefault(C.class_id, C)
     all_classes = subgroup_classes(G)
 
+    @functools.cache
     def contains(big_id: int, small_id: int) -> bool:
         return contained_up_to_conjugacy(by_id[small_id],
                                          by_id[big_id]) is not None
@@ -222,13 +237,12 @@ def solve_tree_metric(G: FiniteGroup, p: int, shape: Shape,
     delta_root in the positive cone when delta_root_free)."""
     top = shape_to_topology(G, shape)
     chars = character_table(G)
-    triv = next(i for i, c in enumerate(chars)
-                if c == one_char(G))
+    triv = _trivial_index(G)
 
     # multiplicities of s_e = a_e - u*_{G_t(e)} per internal edge, where a_e
     # is the sum of u* over the leaves below e; pairing is linear, so they
-    # are sums of the per-class vectors
-    s_mult: Dict[int, List[Fraction]] = {}
+    # are sums of the per-class vectors (ints: every u* is a character)
+    s_mult: Dict[int, List[int]] = {}
     for e in top.internal:
         own = cached_u_star_mult(top.monodromy[top.edges[e][1]])
         below = [cached_u_star_mult(top.monodromy[b]) for b in top.below[e]]
@@ -256,12 +270,13 @@ def solve_tree_metric(G: FiniteGroup, p: int, shape: Shape,
     t_var = nvar_eps + len(set(free_idx.values()))
     u_var = t_var + 1
     ncols = u_var + 1
-    rows: List[List[Fraction]] = []
-    rhs: List[Fraction] = []
+    # entries are ints, except the Fractions of a non-integral target
+    rows: List[list] = []
+    rhs: list = []
 
     def new_row():
-        rows.append([Fraction(0)] * ncols)
-        rhs.append(Fraction(0))
+        rows.append([0] * ncols)
+        rhs.append(0)
         return rows[-1]
 
     def path_row(v: int, i: int):
@@ -270,7 +285,7 @@ def solve_tree_metric(G: FiniteGroup, p: int, shape: Shape,
         for e in top.path[v]:
             row[var_of[e]] = s_mult[e][i]
         if i in free_idx:
-            row[free_idx[i]] = Fraction(1)
+            row[free_idx[i]] = 1
 
     # leaf equalities: sum_path eps m(s_e) (+ root mult) = m(delta_target)
     for b in top.leaves:
@@ -288,24 +303,24 @@ def solve_tree_metric(G: FiniteGroup, p: int, shape: Shape,
     eps_rows = []
     for e in top.internal:
         row = new_row()
-        row[var_of[e]] = Fraction(1)
-        row[t_var] = Fraction(-1)
+        row[var_of[e]] = 1
+        row[t_var] = -1
         eps_rows.append(len(rows) - 1)
     row = new_row()
-    row[t_var] = Fraction(1)
-    row[u_var] = Fraction(1)
-    rhs[-1] = Fraction(1)
+    row[t_var] = 1
+    row[u_var] = 1
+    rhs[-1] = 1
 
     # append slack columns
     extra = len(slack_rows) + len(eps_rows)
     for r in rows:
-        r.extend([Fraction(0)] * extra)
+        r.extend([0] * extra)
     for k, ri in enumerate(slack_rows):
-        rows[ri][ncols + k] = Fraction(-1)
+        rows[ri][ncols + k] = -1
     for k, ri in enumerate(eps_rows):
-        rows[ri][ncols + len(slack_rows) + k] = Fraction(-1)
-    obj = [Fraction(0)] * (ncols + extra)
-    obj[t_var] = Fraction(1)
+        rows[ri][ncols + len(slack_rows) + k] = -1
+    obj = [0] * (ncols + extra)
+    obj[t_var] = 1
 
     res = solve_lp(obj, rows, rhs)
     if res.status == "infeasible":

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .characters import ClassFunction, augmentation_char, \
     character_table, delta_mult_star, is_positive_rational, \
@@ -128,8 +128,10 @@ def _cached(C: SubgroupClass, name: str, key, make):
     return cache[key]
 
 
-def _mults(f: ClassFunction) -> List[Fraction]:
-    return [pair(chi, f) for chi in character_table(f.group)]
+def _mults(f: ClassFunction) -> List[Union[int, Fraction]]:
+    """The vector as LP entries: an int wherever it is integral."""
+    return [v.numerator if v.denominator == 1 else v
+            for v in (pair(chi, f) for chi in character_table(f.group))]
 
 
 def cached_u_star(C: SubgroupClass) -> ClassFunction:
@@ -141,12 +143,13 @@ def cached_delta_target(C: SubgroupClass, p: int) -> ClassFunction:
                    lambda: delta_mult_star(C, p))
 
 
-def cached_u_star_mult(C: SubgroupClass) -> List[Fraction]:
+def cached_u_star_mult(C: SubgroupClass) -> List[Union[int, Fraction]]:
     return _cached(C, "u_star_mult", C.class_id,
                    lambda: _mults(cached_u_star(C)))
 
 
-def cached_delta_target_mult(C: SubgroupClass, p: int) -> List[Fraction]:
+def cached_delta_target_mult(C: SubgroupClass,
+                             p: int) -> List[Union[int, Fraction]]:
     return _cached(C, "delta_target_mult", (C.class_id, p),
                    lambda: _mults(cached_delta_target(C, p)))
 

@@ -121,7 +121,9 @@ def test_against_brute_force_random():
 def reference_simplex(c, A, b):
     """The Fraction-tableau simplex that solve_lp replaced, kept as the
     reference: the same two phases, Bland rule and drive-out step, with
-    every entry a Fraction. Returns (status, x, objective, certificate)."""
+    every entry a Fraction. Returns (status, x, objective, certificate,
+    dual, pivots); the dual of an optimum is read from the phase-2 reduced
+    costs of the artificial columns."""
     m, n = len(A), len(c)
     c = [Fraction(v) for v in c]
     A0 = [[Fraction(v) for v in row] for row in A]
@@ -132,8 +134,11 @@ def reference_simplex(c, A, b):
          + [sign[i] * b0[i]] for i in range(m)]
     basis = [n + i for i in range(m)]
     width = n + m
+    pivots = 0
 
     def pivot(r, col):
+        nonlocal pivots
+        pivots += 1
         piv = T[r][col]
         T[r] = [v / piv for v in T[r]]
         for i in range(m):
@@ -165,7 +170,7 @@ def reference_simplex(c, A, b):
     z1 = run_simplex([Fraction(0)] * n + [Fraction(-1)] * m, width)
     if z1[width] != 0:
         return ("infeasible", None, None,
-                [sign[i] * (1 + z1[n + i]) for i in range(m)])
+                [sign[i] * (1 + z1[n + i]) for i in range(m)], None, pivots)
     for i in range(m):
         if basis[i] >= n:
             col = next((j for j in range(n) if T[i][j] != 0), None)
@@ -174,20 +179,22 @@ def reference_simplex(c, A, b):
                 basis[i] = col
     z2 = run_simplex(c, n)
     if z2 is None:
-        return ("unbounded", None, None, None)
+        return ("unbounded", None, None, None, None, pivots)
     x = [Fraction(0)] * n
     for i, bi in enumerate(basis):
         if bi < n:
             x[bi] = T[i][width]
-    return ("optimal", x, sum(ci * xi for ci, xi in zip(c, x)), None)
+    return ("optimal", x, sum(ci * xi for ci, xi in zip(c, x)), None,
+            [-sign[i] * z2[n + i] for i in range(m)], pivots)
 
 
 def assert_matches_reference(c, A, b):
-    """solve_lp equals the reference field for field, and an optimum
-    carries a dual y with y.A >= c and y.b = c.x."""
+    """solve_lp equals the reference field for field, pivot count
+    included, and an optimum carries a dual y with y.A >= c and
+    y.b = c.x."""
     res = solve_lp(c, A, b)
-    assert (res.status, res.x, res.objective, res.certificate) == \
-        reference_simplex(c, A, b)
+    assert (res.status, res.x, res.objective, res.certificate, res.dual,
+            res.pivots) == reference_simplex(c, A, b)
     if res.status == "optimal":
         y = res.dual
         assert len(y) == len(A)
@@ -224,6 +231,41 @@ def test_matches_fraction_reference_on_random_lps():
         statuses.append(assert_matches_reference(c, A, b).status)
     assert all(statuses.count(s) > 10
                for s in ("optimal", "infeasible", "unbounded"))
+
+
+def test_matches_fraction_reference_on_int_lps():
+    # plain int entries, as solve_tree_metric passes wherever an entry is
+    # integral
+    rng = random.Random(12)
+    statuses = []
+    for _ in range(300):
+        m = rng.randint(1, 5)
+        n = rng.randint(1, 7)
+        A = [[rng.randint(-4, 4) if rng.random() < 0.6 else 0
+              for _ in range(n)] for _ in range(m)]
+        b = [rng.randint(-5, 5) if rng.random() < 0.7 else 0
+             for _ in range(m)]
+        for i in range(1, m):
+            if rng.random() < 0.15:     # a repeat of an earlier row
+                k = rng.randrange(i)
+                A[i], b[i] = A[k][:], b[k]
+        c = [rng.randint(-3, 3) for _ in range(n)]
+        statuses.append(assert_matches_reference(c, A, b).status)
+    assert all(statuses.count(s) > 10
+               for s in ("optimal", "infeasible", "unbounded"))
+
+
+def test_minimum_ratio_tie_goes_to_the_least_basic_variable():
+    # the second phase-1 pivot enters x2, whose column is 2 in both rows:
+    # ratios 2/2 and 2/2 tie. Row 0 holds the artificial a0 (column 3) and
+    # row 1 holds x0 (column 0), so Bland's rule pivots on row 1, not on
+    # the first row nor on the larger basic index
+    c = [-1, 0, 1]
+    A = [[0, 0, 2], [1, -1, 2]]
+    b = [2, 2]
+    res = assert_matches_reference(c, A, b)
+    assert res.status == "optimal" and res.pivots == 3
+    assert res.x == [0, 0, 1] and res.objective == 1
 
 
 def _captured_metric_lps(monkeypatch, G, p, shapes, delta_root_free):

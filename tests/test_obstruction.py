@@ -17,8 +17,10 @@ from hurwitz.lp import solve_lp
 from hurwitz.obstruction import (ObstructionError, _multiset_partitions,
                                  bertin_check, enumerate_shapes,
                                  grid_feasibility, hurwitz_feasibility,
-                                 quaternion_report, solve_tree_metric)
-from hurwitz.trees import all_axioms_pass, cached_u_star, validate
+                                 quaternion_report, shape_to_topology,
+                                 solve_tree_metric)
+from hurwitz.trees import (all_axioms_pass, cached_delta_target,
+                           cached_u_star, validate)
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
@@ -215,6 +217,119 @@ def test_metric_lp_coefficients_match_class_function_pairing(q8,
                            if v in leaf_vs else 0)
         assert [row[:len(internal)] for row in A[:len(rows)]] == rows
         assert b[:len(rows)] == rhs
+
+
+def reference_metric_lp(G, p, shape, delta_root_free):
+    """The (c, A, b) that solve_tree_metric built from Fraction cells
+    before its rows became ints, kept as the reference, with each
+    multiplicity vector a list of Fraction pairings."""
+    top = shape_to_topology(G, shape)
+    chars = character_table(G)
+    triv = next(i for i, c in enumerate(chars) if c == one_char(G))
+
+    def mults(f):
+        return [pair(chi, f) for chi in chars]
+
+    s_mult = {}
+    for e in top.internal:
+        own = mults(cached_u_star(top.monodromy[top.edges[e][1]]))
+        below = [mults(cached_u_star(top.monodromy[b]))
+                 for b in top.below[e]]
+        s_mult[e] = [sum(col) - m for col, m in zip(zip(*below), own)]
+    nvar_eps = len(top.internal)
+    var_of = {e: i for i, e in enumerate(top.internal)}
+    free_idx, orbit_rep = {}, {}
+    if delta_root_free:
+        for i, chi in enumerate(chars):
+            if i == triv or i in orbit_rep:
+                continue
+            conj_chi = ClassFunction(G, [v.conj() for v in chi.values])
+            j = next(k for k, other in enumerate(chars) if other == conj_chi)
+            orbit_rep[i] = orbit_rep[j] = i
+            col = nvar_eps + len(set(free_idx.values()))
+            free_idx[i] = free_idx[j] = col
+    t_var = nvar_eps + len(set(free_idx.values()))
+    u_var = t_var + 1
+    ncols = u_var + 1
+    rows, rhs = [], []
+
+    def new_row():
+        rows.append([Fraction(0)] * ncols)
+        rhs.append(Fraction(0))
+        return rows[-1]
+
+    def path_row(v, i):
+        row = new_row()
+        for e in top.path[v]:
+            row[var_of[e]] = s_mult[e][i]
+        if i in free_idx:
+            row[free_idx[i]] = Fraction(1)
+
+    for b in top.leaves:
+        target = mults(cached_delta_target(top.monodromy[b], p))
+        for i in range(len(chars)):
+            path_row(b, i)
+            rhs[-1] = target[i]
+    slack_rows = []
+    for e in top.internal:
+        for i in range(len(chars)):
+            path_row(top.edges[e][1], i)
+            slack_rows.append(len(rows) - 1)
+    eps_rows = []
+    for e in top.internal:
+        row = new_row()
+        row[var_of[e]] = Fraction(1)
+        row[t_var] = Fraction(-1)
+        eps_rows.append(len(rows) - 1)
+    row = new_row()
+    row[t_var] = Fraction(1)
+    row[u_var] = Fraction(1)
+    rhs[-1] = Fraction(1)
+    extra = len(slack_rows) + len(eps_rows)
+    for r in rows:
+        r.extend([Fraction(0)] * extra)
+    for k, ri in enumerate(slack_rows):
+        rows[ri][ncols + k] = Fraction(-1)
+    for k, ri in enumerate(eps_rows):
+        rows[ri][ncols + len(slack_rows) + k] = Fraction(-1)
+    obj = [Fraction(0)] * (ncols + extra)
+    obj[t_var] = Fraction(1)
+    return obj, rows, rhs
+
+
+def test_metric_rows_match_the_fraction_build(q8, z2, z3, monkeypatch):
+    """Every entry equals the reference's, and is an int wherever it is
+    integral: every Q8 shape of the counterexample, with and without a
+    free root depth, and every C2/C3 shape with two to four leaves and a
+    free root depth."""
+    captured = []
+
+    def capture(c, A, b):
+        captured.append((c, A, b))
+        return solve_lp(c, A, b)
+
+    monkeypatch.setattr(obstruction, "solve_lp", capture)
+    leaves = [subgroup_class_of(q8, q8.closure([q8.element_by_name(g)]))
+              for g in ("tau", "sigma", "sigma*tau")]
+    cases = [(q8, 2, shape, free) for shape in enumerate_shapes(q8, leaves)
+             for free in (False, True)]
+    for G, p in ((z2, 2), (z3, 3)):
+        [C] = subgroup_classes(G, nontrivial_only=True)
+        cases += [(G, p, shape, True) for k in (2, 3, 4)
+                  for shape in enumerate_shapes(G, [C] * k)]
+    halves = 0
+    for G, p, shape, free in cases:
+        captured.clear()
+        solve_tree_metric(G, p, shape, delta_root_free=free)
+        [(c, A, b)] = captured
+        ref_c, ref_A, ref_b = reference_metric_lp(G, p, shape, free)
+        assert (len(A), len(c)) == (len(ref_A), len(ref_c))
+        for got, ref in ((c, ref_c), (b, ref_b), *zip(A, ref_A)):
+            assert got == ref, shape
+            assert all(type(v) is int for v in got
+                       if Fraction(v).denominator == 1), shape
+            halves += sum(Fraction(v).denominator == 2 for v in got)
+    assert len(cases) == 80 and halves > 0
 
 
 def test_witness_for_doubled_augmentation():
