@@ -1,6 +1,6 @@
-"""Local actions in characteristic p: finite-field arithmetic on base-p
-digit lists (q <= 256), truncated power series over F_q, and the local
-Artin character a(sigma) = -ord_z(sigma(z) - z)."""
+"""Local actions in characteristic p: finite-field arithmetic by discrete-log
+and Zech-log tables (q <= 256), truncated power series over F_q, and the
+local Artin character a(sigma) = -ord_z(sigma(z) - z)."""
 
 from __future__ import annotations
 
@@ -19,7 +19,12 @@ class CharPError(ValueError):
 
 class GF:
     """F_{p^k} for p^k <= 256; elements are ints 0..q-1 encoding polynomials
-    over F_p in base p, multiplication modulo a found irreducible."""
+    over F_p in base p, multiplication modulo a found irreducible.
+
+    Arithmetic reads tables built once from g, the least generator of
+    F_q^*: exp[i] = g^i (for 0 <= i < 2(q-1)), log[g^i] = i, and the Zech
+    logarithm zech[i] = log(1 + g^i), or -1 where 1 + g^i = 0. Then
+    g^i + g^j = g^(i + zech[j - i])."""
 
     def __init__(self, p: int, k: int = 1):
         if not is_prime(p):
@@ -29,6 +34,14 @@ class GF:
             raise CharPError("field order must be at most 256")
         self.p, self.k, self.q = p, k, q
         self.modulus = self._find_irreducible()
+        self._gen, powers = self._least_generator()
+        self._log = [0] * q
+        for i, x in enumerate(powers):
+            self._log[x] = i
+        self._exp = powers * 2
+        # 1 + x adds 1 to the constant digit of x
+        self._zech = [self._log[y] if (y := x - x % p + (x + 1) % p) else -1
+                      for x in powers]
 
     # -- polynomial encoding helpers --
 
@@ -94,57 +107,61 @@ class GF:
                     return False
         return True
 
+    def _mul_digits(self, a: int, b: int) -> int:
+        prod = self._poly_mul_raw(self._digits(a), self._digits(b))
+        return self._undigits(self._poly_mod(prod, self.modulus))
+
+    def _least_generator(self) -> Tuple[int, List[int]]:
+        """(g, [g^0, ..., g^(q-2)]) for the least generator g of F_q^*."""
+        if self.q == 2:
+            return 1, [1]
+        for a in range(2, self.q):
+            powers, x = [1], a
+            while x != 1:
+                powers.append(x)
+                x = self._mul_digits(x, a)
+            if len(powers) == self.q - 1:
+                return a, powers
+        raise CharPError("unreachable")
+
     # -- field operations --
 
     def add(self, a: int, b: int) -> int:
-        da, db = self._digits(a), self._digits(b)
-        n = max(len(da), len(db))
-        da += [0] * (n - len(da))
-        db += [0] * (n - len(db))
-        return self._undigits([(x + y) % self.p for x, y in zip(da, db)])
+        if not a or not b:
+            return a or b
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]
+        return 0 if z < 0 else self._exp[la + z]
 
     def neg(self, a: int) -> int:
-        return self._undigits([(-d) % self.p for d in self._digits(a)])
+        if not a or self.p == 2:
+            return a
+        # -1 = g^((q-1)/2) for odd q
+        return self._exp[self._log[a] + (self.q - 1) // 2]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        prod = self._poly_mul_raw(self._digits(a), self._digits(b))
-        return self._undigits(self._poly_mod(prod, self.modulus))
+        if not a or not b:
+            return 0
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise CharPError("division by zero")
-        # brute force is fine at q <= 256
-        for b in range(1, self.q):
-            if self.mul(a, b) == 1:
-                return b
-        raise CharPError("unreachable")
+        return self._exp[self.q - 1 - self._log[a]]
 
     def power(self, a: int, e: int) -> int:
-        out, base = 1, a
-        if e < 0:
-            base, e = self.inv(a), -e
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        if a == 0:
+            if e < 0:
+                raise CharPError("division by zero")
+            return 0 if e else 1
+        return self._exp[self._log[a] * e % (self.q - 1)]
 
     def generator(self) -> int:
         """A multiplicative generator of F_q^*."""
-        if self.q == 2:
-            return 1
-        for a in range(2, self.q):
-            x, order = a, 1
-            while x != 1:
-                x = self.mul(x, a)
-                order += 1
-            if order == self.q - 1:
-                return a
-        raise CharPError("unreachable")
+        return self._gen
 
 
 class SeriesP:

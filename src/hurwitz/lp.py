@@ -4,20 +4,23 @@ infeasible LP and a checked dual for every optimum.
 
 The tableau is fraction-free (Bareiss, Math. Comp. 22, 1968; Azulay and
 Pique, ACM TOMS 27(3), 2001): A and b are scaled by L, the lcm of all their
-denominators, and T holds Python ints equal to d times the Fraction tableau
-for one shared d > 0. A pivot on p = T[r][col] maps each other row R to
-(p*R - R[col]*T[r]) // d, an exact division, and p becomes d. Each row is
-kept sparse, as {column: nonzero int}: a pivot touches only the rows with
-a nonzero in its column, and rescales the others only when p != d. Ratios
-are compared exactly by cross-multiplication, so the pivots are those of
-the simplex on Fractions."""
+denominators, and the tableau T holds Python ints equal to d times the
+Fraction tableau for one shared d > 0. A pivot on p = T[r][col] maps each
+other row R to (p*R - R[col]*T[r]) // d, an exact division, and p becomes
+d. The tableau is stored by columns, each sparse as {row: nonzero int},
+and each column j has its own lazy scale s[j] > 0: its true entries are
+v * d // s[j]. A column outside row r's support only changes scale in a
+pivot (every entry times p / d), so a pivot rewrites just the columns of
+row r's support and leaves the others to their scale. Ratios are compared
+exactly by cross-multiplication, so the pivots are those of the simplex on
+Fractions."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set
 
 
 class LPError(ValueError):
@@ -65,32 +68,70 @@ def solve_lp(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LPResult:
                     out[j] += yi * a
         return out
 
-    T: List[Dict[int, int]] = []
+    # column-major: cols[j] is column j as {row: nonzero int}, support[i]
+    # the set of columns where row i is nonzero. Each column has its own
+    # lazy scale: the true entry (d times the Fraction one) is v * d // s[j]
+    cols: List[Dict[int, int]] = [{} for _ in range(width + 1)]
+    support: List[Set[int]] = []
     for i, nz in enumerate(nonzero):
-        row = {j: sign[i] * scaled(v, L) for j, v in nz}
-        row[n + i] = 1
+        for j, v in nz:
+            cols[j][i] = sign[i] * scaled(v, L)
+        cols[n + i][i] = 1
+        row = {j for j, _ in nz}
+        row.add(n + i)
         if b[i]:
-            row[width] = sign[i] * scaled(b[i], L)
-        T.append(row)
+            cols[width][i] = sign[i] * scaled(b[i], L)
+            row.add(width)
+        support.append(row)
+    s = [1] * (width + 1)
     basis = [n + i for i in range(m)]
     d = 1
     pivots = 0
 
+    def catch_up(j: int):
+        """Bring column j to the current scale: it missed only rescales,
+        which telescope to d / s[j], and its true entries are integers."""
+        sj = s[j]
+        if sj != d:
+            column = cols[j]
+            for i, v in column.items():
+                column[i] = v * d // sj
+            s[j] = d
+
     def pivot(r: int, col: int):
-        """Pivot on T[r][col]; a reduced-cost row appended to T goes too."""
+        """Pivot on entry (r, col); a reduced-cost row m goes too. Only the
+        columns of row r's support change; for every other column the pivot
+        is the rescale by p / d, which its lazy scale absorbs."""
         nonlocal d, pivots
-        p, pr = T[r][col], T[r]
-        for i, row in enumerate(T):
-            if i == r:
+        catch_up(col)
+        pcol = cols[col]
+        p = pcol[r]
+        frows = [(i, f) for i, f in pcol.items() if i != r]
+        for j in support[r]:
+            if j == col:
                 continue
-            f = row.get(col)
-            if f:
-                new = {j: p * a for j, a in row.items()}
-                for j, q in pr.items():
-                    new[j] = new.get(j, 0) - f * q
-                T[i] = {j: v // d for j, v in new.items() if v}
-            elif p != d:
-                T[i] = {j: p * a // d for j, a in row.items()}
+            catch_up(j)
+            column = cols[j]
+            q = column[r]
+            if p != d:
+                for i, x in column.items():
+                    if i not in pcol:
+                        column[i] = x * p // d
+            for i, f in frows:
+                x = column.get(i, 0)
+                v = (p * x - f * q) // d
+                if v:
+                    column[i] = v
+                    if not x:
+                        support[i].add(j)
+                elif x:
+                    del column[i]
+                    support[i].discard(j)
+            s[j] = p
+        for i, _ in frows:
+            support[i].discard(col)
+        cols[col] = {r: p}
+        s[col] = p
         d, pivots, basis[r] = p, pivots + 1, col
 
     def run_simplex(obj: Dict[int, int], allowed: int):
@@ -100,28 +141,35 @@ def solve_lp(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LPResult:
         z = {j: d * v for j, v in obj.items()}
         for i, bi in enumerate(basis):
             f = obj.get(bi)
-            if f:               # column bi of T is d times a unit vector
-                for j, t in T[i].items():
-                    z[j] = z.get(j, 0) - f * t
-        T.append({j: v for j, v in z.items() if v})   # row m while it runs
-        while (col := min((j for j, v in T[m].items()
-                           if v > 0 and j < allowed), default=None)) \
-                is not None:
+            if f:               # column bi is d times a unit vector
+                for j in support[i]:
+                    z[j] = z.get(j, 0) - f * (cols[j][i] * d // s[j])
+        support.append(set())   # z is row m while the phase runs
+        for j, v in z.items():
+            if v:
+                catch_up(j)
+                cols[j][m] = v
+                support[m].add(j)
+        rhs = cols[width]
+        while (col := min((j for j in support[m]
+                           if j < allowed and cols[j][m] > 0),
+                          default=None)) is not None:
             # Bland: the least ratio rhs/a over a > 0, compared as
-            # h * a' < h' * a; ties go to the least basic variable
+            # h * a' < h' * a; ties go to the least basic variable. The
+            # scales of the two columns are positive and common to all
+            # rows, so stored entries compare as true ones
             r = -1
-            for i in range(m):
-                a = T[i].get(col, 0)
-                if a > 0:
-                    h = T[i].get(width, 0)
+            for i, a in cols[col].items():
+                if a > 0 and i < m:
+                    h = rhs.get(i, 0)
                     if r < 0 or h * ar < hr * a or \
                             (h * ar == hr * a and basis[i] < basis[r]):
                         r, ar, hr = i, a, h
             if r < 0:
-                T.pop()
-                return None
+                break
             pivot(r, col)
-        return T.pop()
+        z = {j: cols[j].pop(m) * d // s[j] for j in support.pop()}
+        return z if col is None else None   # col has no ratio: unbounded
 
     # phase 1: maximize -sum(artificials); feasible iff the optimum is 0
     z1 = run_simplex({n + i: -1 for i in range(m)}, width)
@@ -137,21 +185,26 @@ def solve_lp(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LPResult:
     # stays only on an all-zero row with zero rhs, which is redundant
     for i in range(m):
         if basis[i] >= n:
-            col = min((j for j in T[i] if j < n), default=None)
+            col = min((j for j in support[i] if j < n), default=None)
             if col is not None:
                 pivot(i, col)
-                if d < 0:           # keep the shared denominator positive
-                    T[:] = [{j: -v for j, v in row.items()} for row in T]
+                if d < 0:
+                    # keep d and every scale positive: d = -d negates each
+                    # true entry (the Fraction tableau stays), and the
+                    # columns this pivot rewrote, at scale -d, catch up
                     d = -d
+                    for j in support[i]:
+                        catch_up(j)
 
     Lc = lcm(*(v.denominator for v in c))
     z2 = run_simplex({j: scaled(v, Lc) for j, v in enumerate(c) if v}, n)
     if z2 is None:
         return LPResult("unbounded", None, None, None, pivots=pivots)
     X = [0] * n                     # d*x
+    catch_up(width)
     for i, bi in enumerate(basis):
         if bi < n:
-            X[bi] = T[i].get(width, 0)
+            X[bi] = cols[width].get(i, 0)
     assert all(sum(a * X[j] for j, a in nz) == d * bi
                for nz, bi in zip(nonzero, b)) and all(v >= 0 for v in X), \
         "reported solution infeasible"

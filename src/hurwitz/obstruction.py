@@ -47,6 +47,25 @@ def _trivial_index(G: FiniteGroup) -> int:
                       lambda: character_table(G).index(one_char(G)))
 
 
+def _conjugate_orbits(G: FiniteGroup) -> List[Tuple[int, ...]]:
+    """The nontrivial irreducibles of character_table(G) by orbit under
+    complex conjugation, as tuples of indices, ordered by least index."""
+    def make():
+        chars = character_table(G)
+        triv = _trivial_index(G)
+        orbits: List[Tuple[int, ...]] = []
+        seen = {triv}
+        for i, chi in enumerate(chars):
+            if i in seen:
+                continue
+            conj_chi = ClassFunction(G, [v.conj() for v in chi.values])
+            j = chars.index(conj_chi)
+            orbits.append((i,) if j == i else (i, j))
+            seen.update((i, j))
+        return orbits
+    return _per_group(G, "conjugate_orbits", make)
+
+
 # -- Bertin decompositions --
 
 def bertin_check(a: ClassFunction) -> List[Tuple[SubgroupClass, ...]]:
@@ -237,7 +256,6 @@ def solve_tree_metric(G: FiniteGroup, p: int, shape: Shape,
     delta_root in the positive cone when delta_root_free)."""
     top = shape_to_topology(G, shape)
     chars = character_table(G)
-    triv = _trivial_index(G)
 
     # multiplicities of s_e = a_e - u*_{G_t(e)} per internal edge, where a_e
     # is the sum of u* over the leaves below e; pairing is linear, so they
@@ -253,21 +271,10 @@ def solve_tree_metric(G: FiniteGroup, p: int, shape: Shape,
     # one free root variable per conjugate orbit of nontrivial irreducibles,
     # so the recovered root depth (a rational combination chi + conj(chi))
     # pairs with both members of the orbit consistently
-    free_idx: Dict[int, int] = {}
-    orbit_rep: Dict[int, int] = {}
-    if delta_root_free:
-        for i, chi in enumerate(chars):
-            if i == triv or i in orbit_rep:
-                continue
-            conj_chi = ClassFunction(G, [v.conj() for v in chi.values])
-            j = next(k for k, other in enumerate(chars)
-                     if other == conj_chi)
-            orbit_rep[i] = i
-            orbit_rep[j] = i
-            col = nvar_eps + len(set(free_idx.values()))
-            free_idx[i] = col
-            free_idx[j] = col
-    t_var = nvar_eps + len(set(free_idx.values()))
+    orbits = _conjugate_orbits(G) if delta_root_free else []
+    free_idx = {i: nvar_eps + k for k, orbit in enumerate(orbits)
+                for i in orbit}
+    t_var = nvar_eps + len(orbits)
     u_var = t_var + 1
     ncols = u_var + 1
     # entries are ints, except the Fractions of a non-integral target
@@ -333,10 +340,11 @@ def solve_tree_metric(G: FiniteGroup, p: int, shape: Shape,
     delta_root = None
     if delta_root_free:
         acc = ClassFunction(G, [0] * len(G.conjugacy_classes()))
-        for i in sorted(set(orbit_rep.values())):
-            coeff = res.x[free_idx[i]]
+        for k, orbit in enumerate(orbits):
+            coeff = res.x[nvar_eps + k]
             if coeff:
-                acc = acc + coeff * _rational_irreducible_part(chars, i)
+                acc = acc + coeff * _rational_irreducible_part(chars,
+                                                               orbit[0])
         delta_root = acc
     ht = _hurwitz_tree(G, p, top, {e: res.x[var_of[e]] for e in top.internal},
                        delta_root)
@@ -578,34 +586,39 @@ def _induced_faithful(C: SubgroupClass) -> ClassFunction:
 def _minimal_simple_candidates(G: FiniteGroup, chis,
                                Hs) -> List[ClassFunction]:
     """All sums of u*_C over nontrivial cyclic classes with
-    <a, chi_0> = 2, <a, chi_1> = <a, chi_2> >= 2, of minimal degree."""
+    <a, chi_0> = 2, <a, chi_1> = <a, chi_2> >= 2, of minimal degree.
+
+    The search runs on multiplicity vectors: the chi_i are irreducible, so
+    <a, chi_i> is the entry of a's vector at chi_i's index in the table."""
     classes = [C for C in subgroup_classes(G, nontrivial_only=True)
                if C.is_cyclic]
+    mults = [cached_u_star_mult(C) for C in classes]
+    degrees = [cached_u_star(C).degree().to_fraction() for C in classes]
     budget = sum(cached_u_star(H).degree().to_fraction() for H in Hs)
-    sums: List[ClassFunction] = []
+    table = character_table(G)
+    i0, i1, i2 = (table.index(chi) for chi in chis)
+    sums: List[Tuple[tuple, Fraction, Tuple[int, ...]]] = []
 
-    def dfs(i, acc, deg):
-        if acc is not None:
-            p0 = pair(chis[0], acc)
-            p1, p2 = pair(chis[1], acc), pair(chis[2], acc)
-            if p0 == 2 and p1 == p2 and p1 >= 2:
-                sums.append(acc)
+    def dfs(i, acc, deg, picked):
+        if picked and acc[i0] == 2 and acc[i1] == acc[i2] >= 2:
+            sums.append((acc, deg, picked))
         if i == len(classes):
             return
-        C = classes[i]
-        d = cached_u_star(C).degree().to_fraction()
-        dfs(i + 1, acc, deg)
-        if deg + d <= budget:
-            nxt = cached_u_star(C) if acc is None else acc + cached_u_star(C)
-            dfs(i, nxt, deg + d)
+        dfs(i + 1, acc, deg, picked)
+        if deg + degrees[i] <= budget:
+            dfs(i, tuple(x + y for x, y in zip(acc, mults[i])),
+                deg + degrees[i], picked + (i,))
 
-    dfs(0, None, Fraction(0))
+    dfs(0, (0,) * len(table), Fraction(0), ())
     if not sums:
         return []
-    min_deg = min(s.degree().to_fraction() for s in sums)
-    out = []
-    for s in sums:
-        if s.degree().to_fraction() == min_deg and \
-                not any(s == t for t in out):
-            out.append(s)
+    min_deg = min(deg for _, deg, _ in sums)
+    out, seen = [], set()
+    for acc, deg, picked in sums:
+        if deg == min_deg and acc not in seen:
+            seen.add(acc)
+            a = cached_u_star(classes[picked[0]])
+            for k in picked[1:]:
+                a = a + cached_u_star(classes[k])
+            out.append(a)
     return out

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,140 @@ def test_gf_field_axioms():
         g = gf.generator()
         powers = {_pow(gf, g, i) for i in range(q - 1)}
         assert len(powers) == q - 1
+
+
+class DigitField:
+    """The digit-list arithmetic that GF's log tables replaced, kept as the
+    reference: elements are base-p digit lists of polynomials over F_p,
+    multiplied and reduced modulo the least monic irreducible of degree k
+    (least by its base-p code)."""
+
+    def __init__(self, p, k):
+        self.p, self.k, self.q = p, k, p ** k
+        self.modulus = self._find_irreducible()
+
+    def _digits(self, x):
+        out = []
+        while x:
+            out.append(x % self.p)
+            x //= self.p
+        return out
+
+    def _undigits(self, ds):
+        out = 0
+        for d in reversed(ds):
+            out = out * self.p + (d % self.p)
+        return out
+
+    def _find_irreducible(self):
+        if self.k == 1:
+            return [0, 1]
+        for tail in range(self.p ** self.k):
+            poly = (self._digits(tail) + [0] * self.k)[:self.k] + [1]
+            if self._irreducible(poly):
+                return poly
+
+    def _poly_mod(self, f, g):
+        f, p = f[:], self.p
+        while len(f) >= len(g) and any(f):
+            while f and f[-1] % p == 0:
+                f.pop()
+            if len(f) < len(g):
+                break
+            factor = f[-1] * pow(g[-1], -1, p) % p
+            shift = len(f) - len(g)
+            for i, c in enumerate(g):
+                f[shift + i] = (f[shift + i] - factor * c) % p
+        while f and f[-1] % p == 0:
+            f.pop()
+        return f
+
+    def _irreducible(self, f):
+        k = len(f) - 1
+        for d in range(1, k // 2 + 1):
+            for tail in range(self.p ** d):
+                g = self._digits(tail)
+                g += [0] * (d - len(g)) + [1]
+                if not self._poly_mod(f, g):
+                    return False
+        return True
+
+    def add(self, a, b):
+        da, db = self._digits(a), self._digits(b)
+        n = max(len(da), len(db))
+        da += [0] * (n - len(da))
+        db += [0] * (n - len(db))
+        return self._undigits([(x + y) % self.p for x, y in zip(da, db)])
+
+    def neg(self, a):
+        return self._undigits([(-d) % self.p for d in self._digits(a)])
+
+    def mul(self, a, b):
+        da, db = self._digits(a), self._digits(b)
+        prod = [0] * (len(da) + len(db) - 1) if da and db else []
+        for i, x in enumerate(da):
+            for j, y in enumerate(db):
+                prod[i + j] = (prod[i + j] + x * y) % self.p
+        return self._undigits(self._poly_mod(prod, self.modulus))
+
+    def inv(self, a):
+        return next(b for b in range(1, self.q) if self.mul(a, b) == 1)
+
+    def generator(self):
+        if self.q == 2:
+            return 1
+        for a in range(2, self.q):
+            x, order = a, 1
+            while x != 1:
+                x = self.mul(x, a)
+                order += 1
+            if order == self.q - 1:
+                return a
+
+
+FIELDS_UP_TO_32 = [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+                   for k in range(1, 6) if p ** k <= 32]
+
+
+def _assert_matches_digits(gf, ref, pairs):
+    assert gf.modulus == ref.modulus
+    assert gf.generator() == ref.generator()
+    elems = {x for ab in pairs for x in ab}
+    for a in elems:
+        assert gf.neg(a) == ref.neg(a)
+        if a:
+            assert gf.inv(a) == ref.inv(a)
+    for a, b in pairs:
+        assert gf.add(a, b) == ref.add(a, b)
+        assert gf.sub(a, b) == ref.add(a, ref.neg(b))
+        assert gf.mul(a, b) == ref.mul(a, b)
+
+
+def test_gf_tables_match_digit_arithmetic_on_every_pair():
+    assert len(FIELDS_UP_TO_32) == 18
+    for p, k in FIELDS_UP_TO_32:
+        q = p ** k
+        _assert_matches_digits(GF(p, k), DigitField(p, k),
+                               list(itertools.product(range(q), repeat=2)))
+
+
+def test_gf_tables_match_digit_arithmetic_at_256():
+    rng = random.Random(256)
+    pairs = [(rng.randrange(256), rng.randrange(256)) for _ in range(3000)]
+    pairs += [(0, 0), (0, 255), (255, 0), (1, 1)]
+    _assert_matches_digits(GF(2, 8), DigitField(2, 8), pairs)
+
+
+def test_gf_power_and_division_by_zero():
+    gf = GF(3, 2)
+    g = gf.generator()
+    assert [gf.power(g, i) for i in range(9)] == \
+        [_pow(gf, g, i) for i in range(9)]
+    assert gf.power(g, -1) == gf.inv(g)
+    assert gf.power(0, 0) == 1 and gf.power(0, 3) == 0
+    for bad in (lambda: gf.inv(0), lambda: gf.power(0, -1)):
+        with pytest.raises(CharPError, match="division by zero"):
+            bad()
 
 
 def _pow(gf, g, i):

@@ -118,12 +118,14 @@ def test_against_brute_force_random():
     assert mismatches == 0
 
 
-def reference_simplex(c, A, b):
+def reference_simplex(c, A, b, trace=None):
     """The Fraction-tableau simplex that solve_lp replaced, kept as the
     reference: the same two phases, Bland rule and drive-out step, with
     every entry a Fraction. Returns (status, x, objective, certificate,
     dual, pivots); the dual of an optimum is read from the phase-2 reduced
-    costs of the artificial columns."""
+    costs of the artificial columns. A trace list gets, for each pivot,
+    (step, pivot entry, the columns where the pivot row is nonzero), step
+    being "simplex" or "drive-out"."""
     m, n = len(A), len(c)
     c = [Fraction(v) for v in c]
     A0 = [[Fraction(v) for v in row] for row in A]
@@ -136,10 +138,13 @@ def reference_simplex(c, A, b):
     width = n + m
     pivots = 0
 
-    def pivot(r, col):
+    def pivot(r, col, step="simplex"):
         nonlocal pivots
         pivots += 1
         piv = T[r][col]
+        if trace is not None:
+            trace.append((step, piv,
+                          {j for j, v in enumerate(T[r][:width]) if v}))
         T[r] = [v / piv for v in T[r]]
         for i in range(m):
             if i != r and T[i][col] != 0:
@@ -175,7 +180,7 @@ def reference_simplex(c, A, b):
         if basis[i] >= n:
             col = next((j for j in range(n) if T[i][j] != 0), None)
             if col is not None:
-                pivot(i, col)
+                pivot(i, col, "drive-out")
                 basis[i] = col
     z2 = run_simplex(c, n)
     if z2 is None:
@@ -317,3 +322,63 @@ def test_negative_drive_out_pivot_keeps_denominator_positive():
     assert res.pivots == 1
     assert res.status == "optimal" and res.objective == 0
     assert res.dual == [Fraction(-1)]
+
+
+def _longest_stale_stretch(trace, ncols):
+    """The most consecutive pivots with a pivot entry other than 1 (in the
+    integer tableau: p != d, a rescale of every column) whose row is zero
+    in one column: that column keeps its lazy scale through all of them."""
+    best = 0
+    for j in range(ncols):
+        run = 0
+        for _, piv, row in trace:
+            run = run + 1 if piv != 1 and j not in row else 0
+            best = max(best, run)
+    return best
+
+
+def _block_lp(rng, blocks):
+    """Independent random blocks on the diagonal, so a pivot in one block
+    leaves every column of the others untouched. Most blocks are feasible
+    (b = A x0 for some x0 >= 0, often with zero rhs entries, which leave
+    artificials basic for the drive-out step); the others get a random b."""
+    shapes = [(rng.randint(1, 3), rng.randint(2, 4)) for _ in range(blocks)]
+    n = sum(cols for _, cols in shapes)
+    A, b = [], []
+    offset = 0
+    for rows, cols in shapes:
+        x0 = [Fraction(rng.randint(0, 3)) if rng.random() < 0.5
+              else Fraction(0) for _ in range(cols)]
+        feasible = rng.random() < 0.9
+        for _ in range(rows):
+            row = [Fraction(0)] * n
+            for j in range(offset, offset + cols):
+                if rng.random() < 0.8:
+                    row[j] = _random_rational(rng, -4, 4)
+            A.append(row)
+            b.append(sum(v * x for v, x in zip(row[offset:], x0))
+                     if feasible else _random_rational(rng, -5, 5))
+        offset += cols
+    c = [_random_rational(rng, -3, 3) for _ in range(n)]
+    return c, A, b
+
+
+def test_matches_fraction_reference_with_columns_left_stale():
+    # pivots in one block rescale every column of the others (p != d)
+    # without touching them: those columns only catch up when a later
+    # pivot row reaches them, possibly after a negative drive-out pivot
+    rng = random.Random(2020)
+    statuses, stretches, negative_drive_outs = [], [], 0
+    for _ in range(150):
+        c, A, b = _block_lp(rng, rng.randint(3, 5))
+        trace = []
+        reference_simplex(c, A, b, trace)
+        stretches.append(_longest_stale_stretch(trace, len(c)))
+        negative_drive_outs += sum(step == "drive-out" and piv < 0
+                                   for step, piv, _ in trace)
+        statuses.append(assert_matches_reference(c, A, b).status)
+    assert max(stretches) >= 10
+    assert sum(k >= 4 for k in stretches) >= 100
+    assert negative_drive_outs >= 100
+    assert all(statuses.count(s) > 10
+               for s in ("optimal", "infeasible", "unbounded"))

@@ -425,6 +425,65 @@ def test_quaternion_counterexample_structure():
     assert rep.obstruction.decompositions
 
 
+def reference_minimal_simple_candidates(G, chis, Hs):
+    """The candidate search in value space that the multiplicity-vector
+    search replaced, kept as the reference: it sums u* class functions and
+    pairs each sum with chi_0, chi_1 and chi_2."""
+    classes = [C for C in subgroup_classes(G, nontrivial_only=True)
+               if C.is_cyclic]
+    budget = sum(cached_u_star(H).degree().to_fraction() for H in Hs)
+    sums = []
+
+    def dfs(i, acc, deg):
+        if acc is not None:
+            p0 = pair(chis[0], acc)
+            p1, p2 = pair(chis[1], acc), pair(chis[2], acc)
+            if p0 == 2 and p1 == p2 and p1 >= 2:
+                sums.append(acc)
+        if i == len(classes):
+            return
+        C = classes[i]
+        d = cached_u_star(C).degree().to_fraction()
+        dfs(i + 1, acc, deg)
+        if deg + d <= budget:
+            nxt = cached_u_star(C) if acc is None else acc + cached_u_star(C)
+            dfs(i, nxt, deg + d)
+
+    dfs(0, None, Fraction(0))
+    if not sums:
+        return []
+    min_deg = min(s.degree().to_fraction() for s in sums)
+    out = []
+    for s in sums:
+        if s.degree().to_fraction() == min_deg and \
+                not any(s == t for t in out):
+            out.append(s)
+    return out
+
+
+class _Found(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_minimal_candidates_match_the_class_function_search(n, monkeypatch):
+    # the arguments are taken from quaternion_report itself, which is
+    # stopped before its search
+    search = obstruction._minimal_simple_candidates
+
+    def compare(G, chis, Hs):
+        got = search(G, chis, Hs)
+        want = reference_minimal_simple_candidates(G, chis, Hs)
+        assert got and len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.values == b.values
+        raise _Found
+
+    monkeypatch.setattr(obstruction, "_minimal_simple_candidates", compare)
+    with pytest.raises(_Found):
+        quaternion_report(n)
+
+
 def test_quaternion_rejects_small_n():
     with pytest.raises(ObstructionError):
         quaternion_report(1)

@@ -5,7 +5,9 @@ them to BENCH_<pr>.json at the repository root.
 
 PARENT_OUT and CHANGE_OUT are the `perfbench/out` directories of the two
 checkouts. Each holds `<workload>-seed<S>-trace<T>.json` result files; a
-run of one workload and seed on both sides makes a pair. For each
+run of one workload and seed on both sides makes a pair. Only runs of
+BENCHMARK.json's `run_seconds` count: a result whose `env.seconds`
+differs (a short diagnostic run) is skipped with a message. For each
 workload and metric the file records the per-seed values of each side,
 their medians and quartiles, and how many pairs the change wins. Untraced
 runs give the end-to-end metrics and traced runs the per-layer metrics:
@@ -29,15 +31,23 @@ RESULT = re.compile(r"(?P<workload>\w+)-seed(?P<seed>\d+)-trace(?P<trace>[01])"
                     r"\.json$")
 
 
-def load_runs(out_dir):
-    """{(workload, trace, seed): result} for the full-size result files."""
+def load_runs(out_dir, run_seconds):
+    """{(workload, trace, seed): result} for the full-size result files of
+    runs of run_seconds; a result of another run length is skipped with a
+    message."""
     runs = {}
-    for path in glob.glob(os.path.join(out_dir, "*.json")):
+    for path in sorted(glob.glob(os.path.join(out_dir, "*.json"))):
         match = RESULT.match(os.path.basename(path))
         if match:
             with open(path) as fh:
-                runs[(match["workload"], int(match["trace"]),
-                      int(match["seed"]))] = json.load(fh)
+                result = json.load(fh)
+            seconds = result["env"]["seconds"]
+            if seconds != run_seconds:
+                print(f"skipped {path}: a {seconds} s run, not "
+                      f"{run_seconds} s", file=sys.stderr)
+                continue
+            runs[(match["workload"], int(match["trace"]),
+                  int(match["seed"]))] = result
     return runs
 
 
@@ -103,7 +113,8 @@ def main(argv):
     pr, parent_dir, change_dir = argv
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    parent_runs, change_runs = load_runs(parent_dir), load_runs(change_dir)
+    parent_runs, change_runs = (load_runs(d, spec["run_seconds"])
+                                for d in (parent_dir, change_dir))
     report = {"pr": pr, "run_seconds": spec["run_seconds"], "workloads": {}}
     for side, runs in (("parent", parent_runs), ("change", change_runs)):
         stamps = {(r["env"]["git_commit"], r["env"]["source_sha256"])
