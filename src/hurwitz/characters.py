@@ -11,8 +11,8 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .cyclotomic import Cyclotomic
-from .groups import FiniteGroup, GroupError, SubgroupClass, cyclic, \
-    is_prime, subgroup_as_group, valuation
+from .groups import FiniteGroup, SubgroupClass, cyclic, is_prime, \
+    per_group, valuation
 
 Rat = Union[int, Fraction]
 
@@ -252,8 +252,10 @@ def character_table(G: FiniteGroup):
     to cyclotomics through discrete logarithms of roots of unity mod q.
     Every eigenspace basis is kept in reduced row echelon form.
     """
-    if G._char_table is not None:
-        return G._char_table
+    return per_group(G, "character_table", lambda: _dixon_table(G))
+
+
+def _dixon_table(G: FiniteGroup):
     classes = G.conjugacy_classes()
     k = len(classes)
     e = G.exponent()
@@ -302,7 +304,6 @@ def character_table(G: FiniteGroup):
         raise CharacterError("character table reconstruction failed")
     chars.sort(key=lambda c: (c.degree().to_fraction(),
                               [(v.n, v.coeffs) for v in c.values]))
-    G._char_table = chars
     return chars
 
 
@@ -549,6 +550,15 @@ def _poly_sub(a, b, q):
                         (b[i] if i < len(b) else 0)) % q for i in range(n)])
 
 
+def _poly_mul(a, b, q):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return [x % q for x in out]
+
+
 def _poly_divmod(a, b, q):
     """(quotient, remainder) of a by b != 0."""
     r = list(a)
@@ -577,12 +587,7 @@ def _linear_powmod(a, k, f, q):
     d = len(f) - 1
     r = [1]
     for bit in bin(k)[2:]:
-        sq = [0] * (2 * len(r) - 1)
-        for i, x in enumerate(r):
-            if x:
-                for j, y in enumerate(r):
-                    sq[i + j] += x * y
-        r = _poly_divmod(sq, f, q)[1]
+        r = _poly_divmod(_poly_mul(r, r, q), f, q)[1]
         if bit == "1":
             r = [0] + r
             for i in range(len(r) - 1):

@@ -1,16 +1,17 @@
 """Local actions in characteristic p: finite-field arithmetic by discrete-log
-and Zech-log tables (q <= 256), truncated power series over F_q, and the
-local Artin character a(sigma) = -ord_z(sigma(z) - z)."""
+and Zech-log tables (q <= 256), actions on F_q[[z]] by truncated series
+(localfield.TruncatedSeries over a GF), and the local Artin character
+a(sigma) = -ord_z(sigma(z) - z)."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .characters import ClassFunction
-from .disk import PrecisionError
+from .characters import ClassFunction, _poly_divmod, _poly_mul
 from .groups import (FiniteGroup, GroupError, elementary_abelian,
                      extend_from_generators, is_prime)
+from .localfield import TruncatedSeries
 
 
 class CharPError(ValueError):
@@ -70,31 +71,6 @@ class GF:
                 return poly
         raise CharPError("no irreducible polynomial found")  # unreachable
 
-    def _poly_mod(self, f: List[int], g: List[int]) -> List[int]:
-        f = f[:]
-        p = self.p
-        while len(f) >= len(g) and any(f):
-            while f and f[-1] % p == 0:
-                f.pop()
-            if len(f) < len(g):
-                break
-            lead = f[-1] % p
-            inv = pow(g[-1], -1, p)
-            factor = lead * inv % p
-            shift = len(f) - len(g)
-            for i, c in enumerate(g):
-                f[shift + i] = (f[shift + i] - factor * c) % p
-        while f and f[-1] % p == 0:
-            f.pop()
-        return f
-
-    def _poly_mul_raw(self, f, g):
-        out = [0] * (len(f) + len(g) - 1) if f and g else []
-        for i, a in enumerate(f):
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % self.p
-        return out
-
     def _poly_irreducible(self, f: List[int]) -> bool:
         # x^(p^d) == x mod f has gcd checks; small sizes: brute force by
         # testing divisibility by all monic polys of degree <= k/2
@@ -103,13 +79,13 @@ class GF:
             for tail in range(self.p ** d):
                 g = self._digits(tail)
                 g += [0] * (d - len(g)) + [1]
-                if not self._poly_mod(f, g):
+                if not _poly_divmod(f, g, self.p)[1]:
                     return False
         return True
 
     def _mul_digits(self, a: int, b: int) -> int:
-        prod = self._poly_mul_raw(self._digits(a), self._digits(b))
-        return self._undigits(self._poly_mod(prod, self.modulus))
+        prod = _poly_mul(self._digits(a), self._digits(b), self.p)
+        return self._undigits(_poly_divmod(prod, self.modulus, self.p)[1])
 
     def _least_generator(self) -> Tuple[int, List[int]]:
         """(g, [g^0, ..., g^(q-2)]) for the least generator g of F_q^*."""
@@ -125,6 +101,16 @@ class GF:
         raise CharPError("unreachable")
 
     # -- field operations --
+
+    zero = 0
+
+    def element(self, x: int) -> int:
+        """x as a field element, as a TruncatedSeries coefficient."""
+        return x % self.q
+
+    @staticmethod
+    def is_zero(a: int) -> bool:
+        return a == 0
 
     def add(self, a: int, b: int) -> int:
         if not a or not b:
@@ -164,77 +150,14 @@ class GF:
         return self._gen
 
 
-class SeriesP:
-    """Truncated series over a GF field; coefficient i of z^i, known
-    modulo z^precision."""
-
-    __slots__ = ("gf", "coeffs", "precision")
-
-    def __init__(self, gf: GF, coeffs: Sequence[int], precision: int):
-        if precision < 2:
-            raise CharPError("precision must be at least 2")
-        cs = [c % gf.q for c in coeffs[:precision]]
-        cs += [0] * (precision - len(cs))
-        self.gf, self.coeffs, self.precision = gf, cs, precision
-
-    def __sub__(self, other):
-        prec = min(self.precision, other.precision)
-        return SeriesP(self.gf, [self.gf.sub(a, b) for a, b in
-                                 zip(self.coeffs, other.coeffs)], prec)
-
-    def __mul__(self, other):
-        prec = min(self.precision, other.precision)
-        out = [0] * prec
-        for i, a in enumerate(self.coeffs[:prec]):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs[:prec - i]):
-                out[i + j] = self.gf.add(out[i + j], self.gf.mul(a, b))
-        return SeriesP(self.gf, out, prec)
-
-    def compose(self, other: "SeriesP") -> "SeriesP":
-        """self(other(z)); other must vanish at 0."""
-        if other.coeffs[0] != 0:
-            raise CharPError("composition needs a series vanishing at 0")
-        prec = min(self.precision, other.precision)
-        acc = SeriesP(self.gf, [0], prec)
-        power = SeriesP(self.gf, [1], prec)
-        for c in self.coeffs[:prec]:
-            if c:
-                acc = acc + SeriesP(self.gf, [self.gf.mul(c, p) for p in
-                                              power.coeffs], prec)
-            power = power * other
-        return acc
-
-    def __add__(self, other):
-        prec = min(self.precision, other.precision)
-        return SeriesP(self.gf, [self.gf.add(a, b) for a, b in
-                                 zip(self.coeffs, other.coeffs)], prec)
-
-    def order(self) -> int:
-        """ord_z; PrecisionError when zero to working precision."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        raise PrecisionError("series vanishes to working precision")
-
-    def __eq__(self, other):
-        prec = min(self.precision, other.precision)
-        return self.coeffs[:prec] == other.coeffs[:prec]
-
-    @staticmethod
-    def z(gf: GF, precision: int) -> "SeriesP":
-        return SeriesP(gf, [0, 1], precision)
-
-    @staticmethod
-    def geometric_fraction(gf: GF, mu: int, precision: int) -> "SeriesP":
-        """t / (1 + mu t) = sum (-mu)^i t^{i+1}."""
-        out = [0] * precision
-        c = 1
-        for i in range(1, precision):
-            out[i] = c
-            c = gf.mul(c, gf.neg(mu))
-        return SeriesP(gf, out, precision)
+def geometric_fraction(gf: GF, mu: int, precision: int) -> TruncatedSeries:
+    """t / (1 + mu t) = sum (-mu)^i t^{i+1}."""
+    out = [0] * precision
+    c = 1
+    for i in range(1, precision):
+        out[i] = c
+        c = gf.mul(c, gf.neg(mu))
+    return TruncatedSeries(gf, out, precision)
 
 
 class LocalAction:
@@ -242,20 +165,23 @@ class LocalAction:
     series for the generators (zero constant term, unit linear term)."""
 
     def __init__(self, gf: GF, group: FiniteGroup,
-                 generator_series: Dict[str, SeriesP]):
+                 generator_series: Dict[str, TruncatedSeries]):
         self.gf = gf
         self.group = group
         gens = {group.element_by_name(n): s for n, s in generator_series.items()}
         for s in gens.values():
+            if s.precision < 2:
+                raise CharPError("precision must be at least 2")
             if s.coeffs[0] != 0:
                 raise CharPError("automorphisms of k[[z]] fix z = 0")
             if s.coeffs[1] == 0:
                 raise CharPError("linear coefficient must be a unit")
         prec = min((s.precision for s in gens.values()), default=4)
-        zser = SeriesP.z(gf, prec)
+        zser = TruncatedSeries.z(gf, prec)
         try:
-            maps = extend_from_generators(group, gens, zser, SeriesP.compose,
-                                          SeriesP.__eq__)
+            maps = extend_from_generators(group, gens, zser,
+                                          TruncatedSeries.compose,
+                                          TruncatedSeries.__eq__)
         except GroupError as exc:
             raise CharPError(str(exc)) from None
         for g, m in enumerate(maps):
@@ -269,7 +195,7 @@ class LocalAction:
 def local_artin_character(action: LocalAction) -> ClassFunction:
     """a(sigma) = -ord_z(sigma(z) - z) off the identity."""
     G = action.group
-    zser = SeriesP.z(action.gf, action.precision)
+    zser = TruncatedSeries.z(action.gf, action.precision)
     vals: Dict[int, Fraction] = {}
     for g in range(G.n):
         if g == G.identity:
@@ -285,6 +211,6 @@ def klein_four_action(precision: int = 8) -> Tuple[GF, FiniteGroup, LocalAction]
     gf = GF(2, 2)
     G = elementary_abelian(2, 2)
     omega = gf.generator()
-    gens = {"e1": SeriesP.geometric_fraction(gf, 1, precision),
-            "e2": SeriesP.geometric_fraction(gf, omega, precision)}
+    gens = {"e1": geometric_fraction(gf, 1, precision),
+            "e2": geometric_fraction(gf, omega, precision)}
     return gf, G, LocalAction(gf, G, gens)

@@ -303,6 +303,9 @@ def build_parser() -> _Parser:
     def common(p, dot_ok=False):
         p.add_argument("--format", choices=("text", "json", "dot")
                        if dot_ok else ("text", "json"), default="text")
+
+    def disk_common(p):
+        common(p)
         p.add_argument("--precision", type=int, default=24,
                        help="z-adic working precision for series (>= 4)")
 
@@ -347,13 +350,13 @@ def build_parser() -> _Parser:
                      ("breaks", cmd_disk_breaks)):
         p = d.add_parser(name)
         p.add_argument("file")
-        common(p)
+        disk_common(p)
         p.set_defaults(func=fn)
     p = d.add_parser("shift")
     p.add_argument("file")
     p.add_argument("--eps", required=True)
     p.add_argument("--center", default="0")
-    common(p)
+    disk_common(p)
     p.set_defaults(func=cmd_disk_shift)
 
     o = sub.add_parser("obstruct").add_subparsers(dest="sub", required=True,

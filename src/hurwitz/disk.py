@@ -16,13 +16,9 @@ from .characters import ClassFunction, augmentation_char, pair, u_star
 from .cyclotomic import Cyclotomic
 from .groups import (FiniteGroup, GroupError, extend_from_generators,
                      subgroup_class_of)
-from .localfield import (CycloLocalField, FieldError, MobiusMap,
+from .localfield import (CycloLocalField, MobiusMap, PrecisionError,
                          TruncatedSeries, gauss_valuation_poly,
                          weierstrass_degree_poly)
-
-
-class PrecisionError(ArithmeticError):
-    """A series computation needs more z-precision to be conclusive."""
 
 
 class DiskError(ValueError):

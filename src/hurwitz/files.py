@@ -12,7 +12,7 @@ import json
 import math
 import os
 from fractions import Fraction
-from typing import Dict, Optional, Union
+from typing import Dict
 
 from .characters import ClassFunction
 from .cyclotomic import Cyclotomic
@@ -234,8 +234,7 @@ def load_tree_file(path: str) -> HurwitzTree:
     return build_hurwitz_tree(T, G, p, monodromy, delta_root)
 
 
-def tree_json(ht: HurwitzTree,
-              group_ref: Optional[Union[str, dict]] = None) -> dict:
+def tree_json(ht: HurwitzTree) -> dict:
     T = ht.tree
     out = {
         "p": ht.p,
@@ -244,8 +243,6 @@ def tree_json(ht: HurwitzTree,
         "edges": [{"from": s, "to": t, "eps": format_rational(eps)}
                   for s, t, eps in T.edges],
     }
-    if group_ref is not None:
-        out["group"] = group_ref
     root_depth = ht.depth[T.root]
     if any(not v.is_zero() for v in root_depth.values):
         out["delta_root"] = [format_cyclotomic(v) for v in root_depth.values]

@@ -36,7 +36,7 @@ def valuation(n: int, p: int) -> int:
 
 class FiniteGroup:
     def __init__(self, table: Sequence[Sequence[int]], names=None,
-                 generators=None, check: bool = True, canonicalize: bool = True):
+                 generators=None, canonicalize: bool = True):
         n = len(table)
         if n > MAX_ORDER:
             raise GroupError(f"group order {n} exceeds bound {MAX_ORDER}")
@@ -45,15 +45,12 @@ class FiniteGroup:
         self.names = list(names) if names else [f"g{i}" for i in range(n)]
         self.generators = list(generators) if generators else list(range(n))
         self._identity = self._find_identity()
-        if check:
-            self._check_group_law()
         self.inverse = self._build_inverses()
         self.order_of = [self._element_order(g) for g in range(n)]
         if canonicalize:
             self._canonicalize()
         self._classes = None
         self._class_of = None
-        self._char_table = None
         self._subgroup_cache = {}
 
     # -- construction helpers --
@@ -64,24 +61,6 @@ class FiniteGroup:
                    for x in range(self.n)):
                 return e
         raise GroupError("no identity element in table")
-
-    def _check_group_law(self):
-        n = self.n
-        for row in self.table:
-            if sorted(row) != list(range(n)):
-                raise GroupError("multiplication table rows must be permutations")
-        if n <= 64:
-            triples = itertools.product(range(n), repeat=3)
-        else:
-            # sampled associativity for large tables
-            import random
-            rng = random.Random(0xA55)
-            triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                       for _ in range(20000))
-        t = self.table
-        for a, b, c in triples:
-            if t[t[a][b]][c] != t[a][t[b][c]]:
-                raise GroupError(f"associativity fails at ({a},{b},{c})")
 
     def _build_inverses(self):
         inv = [None] * self.n
@@ -315,8 +294,18 @@ def subgroup_as_group(G: FiniteGroup, elems):
     index = {g: i for i, g in enumerate(embed)}
     table = [[index[G.table[a][b]] for b in embed] for a in embed]
     H = FiniteGroup(table, names=[G.names[g] for g in embed],
-                    check=False, canonicalize=False)
+                    canonicalize=False)
     return H, embed
+
+
+def per_group(G: FiniteGroup, key, make):
+    """make(), computed once per group and kept under key in its
+    _subgroup_cache: the subgroup lattice ("all"), the character table and
+    every other value that depends on G alone."""
+    cache = G._subgroup_cache
+    if key not in cache:
+        cache[key] = make()
+    return cache[key]
 
 
 # -- subgroup enumeration --
@@ -368,9 +357,8 @@ def subgroup_classes(G: FiniteGroup, cyclic_only: bool = False,
                      nontrivial_only: bool = False):
     """Conjugacy classes of subgroups; class_id is canonical (assigned on
     the full lattice regardless of the filters)."""
-    if "all" not in G._subgroup_cache:
-        G._subgroup_cache["all"] = _classify(G, _class_reps(G))
-    return [C for C in G._subgroup_cache["all"]
+    return [C for C in per_group(G, "all",
+                                 lambda: _classify(G, _class_reps(G)))
             if (not cyclic_only or C.is_cyclic)
             and (not nontrivial_only or C.order > 1)]
 
@@ -436,8 +424,7 @@ def quotient(G: FiniteGroup, normal_elems):
              for a in range(k)]
     names = [G.names[r] for r in reps]
     gens = sorted({coset_of[g] for g in G.generators})
-    Q = FiniteGroup(table, names=names, generators=gens, check=False,
-                    canonicalize=False)
+    Q = FiniteGroup(table, names=names, generators=gens, canonicalize=False)
     proj = coset_of
     # verify the projection is a homomorphism on all pairs
     for a in range(G.n):
@@ -473,7 +460,7 @@ def _from_law(identity, mul, gens) -> FiniteGroup:
         names[index[g]] = name
     names[index[identity]] = "1"
     return FiniteGroup(table, names=names,
-                       generators=[index[g] for g, _ in gens], check=False)
+                       generators=[index[g] for g, _ in gens])
 
 
 def cyclic(n: int) -> FiniteGroup:

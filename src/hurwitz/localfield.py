@@ -1,10 +1,12 @@
 """The cyclotomic local field Q(zeta_{p^m}) with its unique valuation
-extending val(p) = 1, plus polynomials, truncated series and Moebius maps
-over it.  All arithmetic is exact."""
+extending val(p) = 1, plus polynomials and Moebius maps over it, and
+truncated series over it or over a finite field.  All arithmetic is
+exact."""
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -14,6 +16,10 @@ from .groups import is_prime, valuation
 
 class FieldError(ValueError):
     pass
+
+
+class PrecisionError(ArithmeticError):
+    """A series computation needs more z-precision to be conclusive."""
 
 
 def _vp(q: Fraction, p: int) -> int:
@@ -33,6 +39,11 @@ class CycloLocalField:
         self.m = m
         self.n = p ** m
         self.degree = euler_phi(self.n)
+
+    # the coefficient-field operations of TruncatedSeries
+    zero = Cyclotomic.from_rational(0)
+    add, sub, mul = operator.add, operator.sub, operator.mul
+    is_zero = staticmethod(Cyclotomic.is_zero)
 
     def element(self, x) -> Cyclotomic:
         x = Cyclotomic._coerce(x)
@@ -238,66 +249,79 @@ def _sympy_sqrt(field: CycloLocalField, x: Cyclotomic) -> Optional[Cyclotomic]:
     return Cyclotomic(field.n, out)
 
 
-# -- truncated power series over the field --
+# -- truncated power series --
 
 class TruncatedSeries:
-    """Polynomial representative of a series known modulo z^precision."""
+    """Polynomial representative of a series known modulo z^precision.
+
+    The coefficients lie in a field that provides element (coercion),
+    zero, add, sub, mul and is_zero: a CycloLocalField or a charp.GF."""
 
     __slots__ = ("field", "coeffs", "precision")
 
-    def __init__(self, field: CycloLocalField, coeffs: Sequence, precision: int):
+    def __init__(self, field, coeffs: Sequence, precision: int):
         if precision < 1:
             raise FieldError("precision must be >= 1")
         cs = [field.element(c) for c in coeffs[:precision]]
-        zero = Cyclotomic.from_rational(0)
-        cs += [zero] * (precision - len(cs))
+        cs += [field.zero] * (precision - len(cs))
         self.field = field
         self.coeffs = cs
         self.precision = precision
 
     def __add__(self, other):
-        prec = min(self.precision, other.precision)
+        add = self.field.add
         return TruncatedSeries(self.field,
-                               [a + b for a, b in zip(self.coeffs, other.coeffs)],
-                               prec)
+                               [add(a, b) for a, b in
+                                zip(self.coeffs, other.coeffs)],
+                               min(self.precision, other.precision))
 
     def __sub__(self, other):
-        prec = min(self.precision, other.precision)
+        sub = self.field.sub
         return TruncatedSeries(self.field,
-                               [a - b for a, b in zip(self.coeffs, other.coeffs)],
-                               prec)
+                               [sub(a, b) for a, b in
+                                zip(self.coeffs, other.coeffs)],
+                               min(self.precision, other.precision))
 
     def __mul__(self, other):
+        F = self.field
         prec = min(self.precision, other.precision)
-        zero = Cyclotomic.from_rational(0)
-        out = [zero] * prec
+        out = [F.zero] * prec
         for i, a in enumerate(self.coeffs[:prec]):
-            if a.is_zero():
+            if F.is_zero(a):
                 continue
             for j, b in enumerate(other.coeffs[:prec - i]):
-                out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(self.field, out, prec)
+                out[i + j] = F.add(out[i + j], F.mul(a, b))
+        return TruncatedSeries(F, out, prec)
 
     def compose(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """self(other(z)) by Horner evaluation of the polynomial
-        representative; exact whenever the representatives are exact."""
-        prec = min(self.precision, other.precision)
-        acc = TruncatedSeries(self.field, [0], prec)
-        for c in reversed(self.coeffs[:prec]):
-            acc = acc * other + TruncatedSeries(self.field, [c], prec)
+        representative; exact whenever the representatives are exact.
+        Truncation modulo z^precision is a ring homomorphism, so this is
+        sum_i c_i other^i truncated."""
+        F = self.field
+        acc = TruncatedSeries(F, [], min(self.precision, other.precision))
+        for c in reversed(self.coeffs[:acc.precision]):
+            acc = acc * other
+            acc.coeffs[0] = F.add(acc.coeffs[0], c)
         return acc
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return all(self.field.is_zero(c) for c in self.coeffs)
+
+    def order(self) -> int:
+        """ord_z; PrecisionError when zero to working precision."""
+        for i, c in enumerate(self.coeffs):
+            if not self.field.is_zero(c):
+                return i
+        raise PrecisionError("series vanishes to working precision")
 
     def __eq__(self, other):
         prec = min(self.precision, other.precision)
-        return all((a - b).is_zero()
-                   for a, b in zip(self.coeffs[:prec], other.coeffs[:prec]))
+        return self.coeffs[:prec] == other.coeffs[:prec]
 
     def __repr__(self):
         return f"TruncatedSeries({self.coeffs}, O(z^{self.precision}))"
 
     @staticmethod
-    def z(field: CycloLocalField, precision: int) -> "TruncatedSeries":
+    def z(field, precision: int) -> "TruncatedSeries":
         return TruncatedSeries(field, [0, 1], precision)

@@ -15,7 +15,7 @@ from .characters import (ClassFunction, character_table, induce, inflate,
                          is_true_character, one_char, pair)
 from .cyclotomic import Cyclotomic
 from .groups import (FiniteGroup, SubgroupClass, contained_up_to_conjugacy,
-                     generalized_quaternion, is_prime, quotient,
+                     generalized_quaternion, is_prime, per_group, quotient,
                      subgroup_class_of, subgroup_classes)
 from .lp import LPResult, solve_lp
 from .trees import (HurwitzTree, RootedMetricTree, all_axioms_pass,
@@ -29,22 +29,15 @@ class ObstructionError(ValueError):
     pass
 
 
-def _per_group(G: FiniteGroup, key: str, make):
-    """make(), computed once per group and kept in its _subgroup_cache."""
-    if key not in G._subgroup_cache:
-        G._subgroup_cache[key] = make()
-    return G._subgroup_cache[key]
-
-
 def _full_class(G: FiniteGroup) -> SubgroupClass:
-    return _per_group(G, "full_class",
-                      lambda: subgroup_class_of(G, frozenset(range(G.n))))
+    return per_group(G, "full_class",
+                     lambda: subgroup_class_of(G, frozenset(range(G.n))))
 
 
 def _trivial_index(G: FiniteGroup) -> int:
     """The index of the trivial character in character_table(G)."""
-    return _per_group(G, "trivial_index",
-                      lambda: character_table(G).index(one_char(G)))
+    return per_group(G, "trivial_index",
+                     lambda: character_table(G).index(one_char(G)))
 
 
 def _conjugate_orbits(G: FiniteGroup) -> List[Tuple[int, ...]]:
@@ -63,7 +56,7 @@ def _conjugate_orbits(G: FiniteGroup) -> List[Tuple[int, ...]]:
             orbits.append((i,) if j == i else (i, j))
             seen.update((i, j))
         return orbits
-    return _per_group(G, "conjugate_orbits", make)
+    return per_group(G, "conjugate_orbits", make)
 
 
 # -- Bertin decompositions --
@@ -339,12 +332,14 @@ def solve_tree_metric(G: FiniteGroup, p: int, shape: Shape,
                               "no strictly positive thickness assignment")
     delta_root = None
     if delta_root_free:
+        # one rational coefficient per orbit sum, chi or chi + conj(chi),
+        # keeps the depth character conjugation-symmetric
         acc = ClassFunction(G, [0] * len(G.conjugacy_classes()))
         for k, orbit in enumerate(orbits):
             coeff = res.x[nvar_eps + k]
             if coeff:
-                acc = acc + coeff * _rational_irreducible_part(chars,
-                                                               orbit[0])
+                for i in orbit:
+                    acc = acc + coeff * chars[i]
         delta_root = acc
     ht = _hurwitz_tree(G, p, top, {e: res.x[var_of[e]] for e in top.internal},
                        delta_root)
@@ -352,17 +347,6 @@ def solve_tree_metric(G: FiniteGroup, p: int, shape: Shape,
     if not all_axioms_pass(report):
         raise ObstructionError(f"witness failed validation: {report}")
     return MetricSolution(ht, res, "witness")
-
-
-def _rational_irreducible_part(chars, i) -> ClassFunction:
-    """chi (+ its conjugate when complex), so rational coefficients keep the
-    depth character conjugation-symmetric."""
-    chi = chars[i]
-    conj_vals = [v.conj() for v in chi.values]
-    conj_chi = ClassFunction(chi.group, conj_vals)
-    if conj_chi == chi:
-        return chi
-    return chi + conj_chi
 
 
 # -- the decision procedure --

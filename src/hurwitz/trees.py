@@ -14,7 +14,7 @@ from .characters import ClassFunction, augmentation_char, \
     character_table, delta_mult_star, is_positive_rational, \
     is_true_character, one_char, pair, u_star
 from .groups import FiniteGroup, SubgroupClass, contained_up_to_conjugacy, \
-    subgroup_class_of
+    per_group, subgroup_class_of
 
 
 class TreeError(ValueError):
@@ -116,17 +116,10 @@ class HurwitzTree:
         return self.depth[self.tree.root]
 
 
-# -- decoration caches, kept per group in its _subgroup_cache --
+# -- decoration caches, kept per group by groups.per_group --
 #
 # A multiplicity vector lists <chi, f> for chi in character_table(G); by
 # linearity, the vector of a sum of u*'s is the sum of their vectors.
-
-def _cached(C: SubgroupClass, name: str, key, make):
-    cache = C.group._subgroup_cache.setdefault(name, {})
-    if key not in cache:
-        cache[key] = make()
-    return cache[key]
-
 
 def _mults(f: ClassFunction) -> List[Union[int, Fraction]]:
     """The vector as LP entries: an int wherever it is integral."""
@@ -135,23 +128,23 @@ def _mults(f: ClassFunction) -> List[Union[int, Fraction]]:
 
 
 def cached_u_star(C: SubgroupClass) -> ClassFunction:
-    return _cached(C, "u_star", C.class_id, lambda: u_star(C))
+    return per_group(C.group, ("u_star", C.class_id), lambda: u_star(C))
 
 
 def cached_delta_target(C: SubgroupClass, p: int) -> ClassFunction:
-    return _cached(C, "delta_target", (C.class_id, p),
-                   lambda: delta_mult_star(C, p))
+    return per_group(C.group, ("delta_target", C.class_id, p),
+                     lambda: delta_mult_star(C, p))
 
 
 def cached_u_star_mult(C: SubgroupClass) -> List[Union[int, Fraction]]:
-    return _cached(C, "u_star_mult", C.class_id,
-                   lambda: _mults(cached_u_star(C)))
+    return per_group(C.group, ("u_star_mult", C.class_id),
+                     lambda: _mults(cached_u_star(C)))
 
 
 def cached_delta_target_mult(C: SubgroupClass,
                              p: int) -> List[Union[int, Fraction]]:
-    return _cached(C, "delta_target_mult", (C.class_id, p),
-                   lambda: _mults(cached_delta_target(C, p)))
+    return per_group(C.group, ("delta_target_mult", C.class_id, p),
+                     lambda: _mults(cached_delta_target(C, p)))
 
 
 # -- axiom validation --

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 from hurwitz.characters import character_table, one_char, pair
-from hurwitz.charp import (GF, CharPError, LocalAction, SeriesP,
+from hurwitz.charp import (GF, CharPError, LocalAction, geometric_fraction,
                            klein_four_action, local_artin_character)
 from hurwitz.groups import cyclic, elementary_abelian
+from hurwitz.localfield import (CycloLocalField, PrecisionError,
+                                TruncatedSeries)
 
 
 def test_gf_field_axioms():
@@ -168,19 +170,56 @@ def _pow(gf, g, i):
 
 def test_series_ring_operations():
     gf = GF(2, 2)
-    t = SeriesP.z(gf, 10)
+    t = TruncatedSeries.z(gf, 10)
     f = t + t * t
     assert all(c == 0 for c in (f - f).coeffs)
     assert (t * t * t).order() == 3
-    with pytest.raises(Exception):
-        SeriesP(gf, [0] * 10, 10).order()
+    with pytest.raises(PrecisionError):
+        TruncatedSeries(gf, [0] * 10, 10).order()
+    # equality reads every coefficient up to the lesser precision
+    top = TruncatedSeries(gf, [0] * 9 + [3], 10)
+    assert not t + top == t
+    assert t + top == TruncatedSeries.z(gf, 9)
 
 
 def test_geometric_fraction_is_involution():
     gf = GF(2, 2)
     for mu in (1, 2, 3):
-        f = SeriesP.geometric_fraction(gf, mu, 12)
-        assert f.compose(f) == SeriesP.z(gf, 12)
+        f = geometric_fraction(gf, mu, 12)
+        assert f.compose(f) == TruncatedSeries.z(gf, 12)
+
+
+def power_sum_compose(f, g):
+    """f(g) as sum_i c_i g^i, each power of g truncated: the reference
+    for the Horner composition of TruncatedSeries.compose."""
+    F = f.field
+    prec = min(f.precision, g.precision)
+    acc = TruncatedSeries(F, [], prec)
+    power = TruncatedSeries(F, [1], prec)
+    for c in f.coeffs[:prec]:
+        if not F.is_zero(c):
+            acc = acc + TruncatedSeries(F, [F.mul(c, x) for x in
+                                            power.coeffs], prec)
+        power = power * g
+    return acc
+
+
+def test_compose_matches_power_sum():
+    rng = random.Random(21)
+    K = CycloLocalField(2, 2)
+    units = [K.element(x) for x in (1, -1, K.zeta(), K.uniformizer())]
+    fields = [(GF(2, 2), lambda: rng.randrange(4)),
+              (GF(3, 1), lambda: rng.randrange(3)),
+              (K, lambda: rng.choice(units) * rng.randrange(-2, 3))]
+    for F, draw in fields:
+        for prec in (2, 3, 5, 8):
+            for _ in range(6):
+                f = TruncatedSeries(F, [draw() for _ in range(prec)], prec)
+                g = TruncatedSeries(F, [0] + [draw() for _ in range(prec)],
+                                    prec + rng.randrange(2))
+                h = f.compose(g)
+                assert h.precision == prec
+                assert h.coeffs == power_sum_compose(f, g).coeffs
 
 
 def test_klein_four_artin_values():
@@ -210,15 +249,23 @@ def test_local_action_checks_relations():
     gf = GF(2, 1)
     G = cyclic(2)
     # t -> t + t^2 does not square to the identity
-    bad = SeriesP(gf, [0, 1, 1] + [0] * 7, 10)
+    bad = TruncatedSeries(gf, [0, 1, 1] + [0] * 7, 10)
     with pytest.raises(CharPError):
         LocalAction(gf, G, {"s": bad})
+
+
+def test_local_action_needs_precision_two():
+    gf = GF(2, 1)
+    with pytest.raises(CharPError, match="precision must be at least 2"):
+        LocalAction(gf, cyclic(2), {"s": TruncatedSeries.z(gf, 1)})
+    with pytest.raises(CharPError, match="precision must be at least 2"):
+        klein_four_action(precision=1)
 
 
 def test_local_action_generators_must_generate():
     gf = GF(2, 1)
     G = elementary_abelian(2, 2)
-    e1 = SeriesP.geometric_fraction(gf, 1, 8)    # an involution
+    e1 = geometric_fraction(gf, 1, 8)    # an involution
     with pytest.raises(CharPError, match="do not generate the group"):
         LocalAction(gf, G, {"e1": e1})
 
@@ -226,7 +273,7 @@ def test_local_action_generators_must_generate():
 def test_wild_cyclic_artin_is_positive_at_identity():
     gf = GF(2, 1)
     G = cyclic(2)
-    f = SeriesP.geometric_fraction(gf, 1, 12)
+    f = geometric_fraction(gf, 1, 12)
     action = LocalAction(gf, G, {"s": f})
     a = local_artin_character(action)
     assert a.values[0].to_fraction() == Fraction(2)

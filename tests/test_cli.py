@@ -332,6 +332,18 @@ def test_parse_error_exit_codes(capsys, tmp_path):
     assert code == 64
 
 
+def test_precision_is_an_option_of_the_disk_commands_only(capsys, write_json):
+    code, _, err = run(capsys, "quaternion", "--precision", "8")
+    assert code == 64
+    assert "argument error" in err
+    path = write_json("act.json", ACT_LIN4)
+    code, _, err = run(capsys, "disk", "depth", path, "--precision", "3")
+    assert code == 64
+    assert "--precision must be >= 4" in err
+    code, _, _ = run(capsys, "disk", "depth", path, "--precision", "8")
+    assert code == 0
+
+
 def test_domain_error_exit_code(capsys, write_json):
     act = json.loads(json.dumps(ACT_LIN4))
     act["generators"]["s"]["mobius"][0][0] = "-1"    # order 2, group is Z/4
