@@ -269,13 +269,15 @@ def solve_tree_metric(G: FiniteGroup, p: int, shape: Shape,
                 for i in orbit}
     t_var = nvar_eps + len(orbits)
     u_var = t_var + 1
-    ncols = u_var + 1
+    # then a slack column for each internal positivity row and each eps row
+    width = u_var + 1 + (len(chars) + 1) * len(top.internal)
+    slack = iter(range(u_var + 1, width))
     # entries are ints, except the Fractions of a non-integral target
     rows: List[list] = []
     rhs: list = []
 
     def new_row():
-        rows.append([0] * ncols)
+        rows.append([0] * width)
         rhs.append(0)
         return rows[-1]
 
@@ -286,6 +288,7 @@ def solve_tree_metric(G: FiniteGroup, p: int, shape: Shape,
             row[var_of[e]] = s_mult[e][i]
         if i in free_idx:
             row[free_idx[i]] = 1
+        return row
 
     # leaf equalities: sum_path eps m(s_e) (+ root mult) = m(delta_target)
     for b in top.leaves:
@@ -294,32 +297,20 @@ def solve_tree_metric(G: FiniteGroup, p: int, shape: Shape,
             path_row(b, i)
             rhs[-1] = target[i]
     # internal positivity: sum_path eps m(s_e) (+ root mult) - w = 0
-    slack_rows = []
     for e in top.internal:
         for i in range(len(chars)):
-            path_row(top.edges[e][1], i)
-            slack_rows.append(len(rows) - 1)
+            path_row(top.edges[e][1], i)[next(slack)] = -1
     # eps_e - t - sl = 0 ; t + u = 1
-    eps_rows = []
     for e in top.internal:
         row = new_row()
         row[var_of[e]] = 1
         row[t_var] = -1
-        eps_rows.append(len(rows) - 1)
+        row[next(slack)] = -1
     row = new_row()
     row[t_var] = 1
     row[u_var] = 1
     rhs[-1] = 1
-
-    # append slack columns
-    extra = len(slack_rows) + len(eps_rows)
-    for r in rows:
-        r.extend([0] * extra)
-    for k, ri in enumerate(slack_rows):
-        rows[ri][ncols + k] = -1
-    for k, ri in enumerate(eps_rows):
-        rows[ri][ncols + len(slack_rows) + k] = -1
-    obj = [0] * (ncols + extra)
+    obj = [0] * width
     obj[t_var] = 1
 
     res = solve_lp(obj, rows, rhs)

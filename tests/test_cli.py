@@ -453,6 +453,26 @@ def test_action_field_needs_a_prime(write_json):
     assert "Traceback" not in res.stderr
 
 
+# sha256 of the exact stdout of `hg quaternion`, recorded when the simplex
+# refuted every shape: the report must not depend on which LP stage
+# (propagation or simplex) refutes a shape
+QUATERNION_STDOUT = {
+    ("--n", "2"):
+        "6329483807d2d1e23853539e8a294cbd272d13d0cb18a88c601d12ac7a5ca896",
+    ("--n", "3"):
+        "e1344318477deb3609942b714e7a4447383fdb0c72eb10103a68b0f83b8d541e",
+    ("--n", "4", "--format", "json"):
+        "e74c143027cbac396b26c2daea107f9eb464a8c22a0160398a1cc79a294f21da",
+}
+
+
+def test_quaternion_stdout_is_unchanged(capsys):
+    for args, digest in QUATERNION_STDOUT.items():
+        code, out, _ = run(capsys, "quaternion", *args)
+        assert code == 3, args
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, args
+
+
 def test_quaternion_report_does_not_import_sympy():
     # importing sympy costs about 0.45 s and 36 MB of peak RSS; other tests
     # import it into this process, so the check runs in a new one

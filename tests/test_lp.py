@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import hurwitz.obstruction as obstruction
+from hurwitz import lp
 from hurwitz.groups import subgroup_class_of, subgroup_classes
 from hurwitz.lp import solve_lp
 from hurwitz.obstruction import enumerate_shapes, solve_tree_metric
@@ -193,11 +194,34 @@ def reference_simplex(c, A, b, trace=None):
             [-sign[i] * z2[n + i] for i in range(m)], pivots)
 
 
+def simplex(c, A, b):
+    """solve_lp's second stage alone: the simplex, with no propagation."""
+    return lp._simplex(c, b, *lp._sparse(A, len(c)))
+
+
+def propagate(c, A, b):
+    """solve_lp's first stage alone: a Farkas vector or None."""
+    return lp._propagate(*lp._sparse(A, len(c)), b)
+
+
+def outcome(res):
+    return (res.status, res.x, res.objective, res.certificate, res.dual,
+            res.pivots)
+
+
+def is_farkas(A, b, y):
+    """y.A <= 0 and y.b > 0, summed densely in Fractions."""
+    return len(y) == len(A) and \
+        all(sum(Fraction(y[i]) * A[i][j] for i in range(len(A))) <= 0
+            for j in range(len(A[0]) if A else 0)) and \
+        sum(Fraction(yi) * bi for yi, bi in zip(y, b)) > 0
+
+
 def assert_matches_reference(c, A, b):
-    """solve_lp equals the reference field for field, pivot count
+    """The simplex equals the reference field for field, pivot count
     included, and an optimum carries a dual y with y.A >= c and
     y.b = c.x."""
-    res = solve_lp(c, A, b)
+    res = simplex(c, A, b)
     assert (res.status, res.x, res.objective, res.certificate, res.dual,
             res.pivots) == reference_simplex(c, A, b)
     if res.status == "optimal":
@@ -215,49 +239,110 @@ def _random_rational(rng, lo, hi):
     return Fraction(rng.randint(lo, hi), rng.randint(1, 6))
 
 
+def _random_rational_lp(rng):
+    m = rng.randint(1, 5)
+    n = rng.randint(1, 7)
+    A = [[_random_rational(rng, -4, 4) if rng.random() < 0.7
+          else Fraction(0) for _ in range(n)] for _ in range(m)]
+    b = [_random_rational(rng, -5, 5) if rng.random() < 0.7
+         else Fraction(0) for _ in range(m)]
+    for i in range(m):
+        kind = rng.random()
+        if kind < 0.15:             # an all-zero row, zero rhs
+            A[i], b[i] = [Fraction(0)] * n, Fraction(0)
+        elif kind < 0.3 and i:      # a repeat of an earlier row
+            k = rng.randrange(i)
+            A[i], b[i] = A[k][:], b[k]
+    c = [_random_rational(rng, -3, 3) for _ in range(n)]
+    return c, A, b
+
+
+def _random_int_lp(rng):
+    # plain int entries, as solve_tree_metric passes wherever an entry is
+    # integral
+    m = rng.randint(1, 5)
+    n = rng.randint(1, 7)
+    A = [[rng.randint(-4, 4) if rng.random() < 0.6 else 0
+          for _ in range(n)] for _ in range(m)]
+    b = [rng.randint(-5, 5) if rng.random() < 0.7 else 0
+         for _ in range(m)]
+    for i in range(1, m):
+        if rng.random() < 0.15:     # a repeat of an earlier row
+            k = rng.randrange(i)
+            A[i], b[i] = A[k][:], b[k]
+    c = [rng.randint(-3, 3) for _ in range(n)]
+    return c, A, b
+
+
 def test_matches_fraction_reference_on_random_lps():
     rng = random.Random(11)
-    statuses = []
-    for _ in range(300):
-        m = rng.randint(1, 5)
-        n = rng.randint(1, 7)
-        A = [[_random_rational(rng, -4, 4) if rng.random() < 0.7
-              else Fraction(0) for _ in range(n)] for _ in range(m)]
-        b = [_random_rational(rng, -5, 5) if rng.random() < 0.7
-             else Fraction(0) for _ in range(m)]
-        for i in range(m):
-            kind = rng.random()
-            if kind < 0.15:             # an all-zero row, zero rhs
-                A[i], b[i] = [Fraction(0)] * n, Fraction(0)
-            elif kind < 0.3 and i:      # a repeat of an earlier row
-                k = rng.randrange(i)
-                A[i], b[i] = A[k][:], b[k]
-        c = [_random_rational(rng, -3, 3) for _ in range(n)]
-        statuses.append(assert_matches_reference(c, A, b).status)
+    statuses = [assert_matches_reference(*_random_rational_lp(rng)).status
+                for _ in range(300)]
     assert all(statuses.count(s) > 10
                for s in ("optimal", "infeasible", "unbounded"))
 
 
 def test_matches_fraction_reference_on_int_lps():
-    # plain int entries, as solve_tree_metric passes wherever an entry is
-    # integral
     rng = random.Random(12)
-    statuses = []
-    for _ in range(300):
-        m = rng.randint(1, 5)
-        n = rng.randint(1, 7)
-        A = [[rng.randint(-4, 4) if rng.random() < 0.6 else 0
-              for _ in range(n)] for _ in range(m)]
-        b = [rng.randint(-5, 5) if rng.random() < 0.7 else 0
-             for _ in range(m)]
-        for i in range(1, m):
-            if rng.random() < 0.15:     # a repeat of an earlier row
-                k = rng.randrange(i)
-                A[i], b[i] = A[k][:], b[k]
-        c = [rng.randint(-3, 3) for _ in range(n)]
-        statuses.append(assert_matches_reference(c, A, b).status)
+    statuses = [assert_matches_reference(*_random_int_lp(rng)).status
+                for _ in range(300)]
     assert all(statuses.count(s) > 10
                for s in ("optimal", "infeasible", "unbounded"))
+
+
+def test_propagation_refutes_only_infeasible_random_lps():
+    """Wherever propagation decides, the reference says infeasible and the
+    vector is a Farkas vector; solve_lp returns it with 0 pivots. Wherever
+    it does not, solve_lp is the simplex, field for field."""
+    decided = undecided = 0
+    for seed, make in ((11, _random_rational_lp), (12, _random_int_lp)):
+        rng = random.Random(seed)
+        for _ in range(300):
+            c, A, b = make(rng)
+            y = propagate(c, A, b)
+            got = outcome(solve_lp(c, A, b))
+            if y is None:
+                undecided += 1
+                assert got == outcome(simplex(c, A, b))
+            else:
+                decided += 1
+                assert reference_simplex(c, A, b)[0] == "infeasible"
+                assert is_farkas(A, b, y)
+                assert got == ("infeasible", None, None, y, None, 0)
+    assert decided > 50 and undecided > 300
+
+
+def test_propagation_refutes_a_negative_value():
+    # row 0 fixes x0 = 2, then row 1 fixes x1 = 1 - 2 < 0:
+    # y = -Y_1 = -(e_1 - Y_0) with Y_0 = e_0 / 2
+    A, b = [[2, 0], [1, 1]], [4, 1]
+    res = solve_lp([0, 0], A, b)
+    assert outcome(res) == ("infeasible", None, None,
+                            [Fraction(1, 2), Fraction(-1)], None, 0)
+    assert simplex([0, 0], A, b).pivots > 0
+
+
+def test_propagation_refutes_an_inconsistent_row():
+    # x0 = 1 and x1 = 1 leave row 2 with residual 4 - 2 - 3 = -1:
+    # y = -(e_2 - 2 Y_0 - 3 Y_1) with Y_0 = e_0 and Y_1 = e_1 / 3
+    A, b = [[1, 0], [0, 3], [2, 3]], [1, 3, 4]
+    res = solve_lp([0, 0], A, b)
+    assert outcome(res) == ("infeasible", None, None,
+                            [Fraction(2), Fraction(1), Fraction(-1)],
+                            None, 0)
+    assert simplex([0, 0], A, b).pivots > 0
+    # an all-zero row with a nonzero rhs: y = sign(b_0) e_0
+    assert outcome(solve_lp([1], [[0], [1]], [-2, 1])) == \
+        ("infeasible", None, None, [-1, 0], None, 0)
+
+
+def test_undecided_propagation_leaves_the_simplex_alone():
+    # x0 = 1 is forced and consistent; row 1 still has two free columns
+    c, A, b = [0, 1, 1], [[1, 0, 0], [1, 1, 2]], [1, 3]
+    assert propagate(c, A, b) is None
+    res = solve_lp(c, A, b)
+    assert outcome(res) == outcome(simplex(c, A, b))
+    assert res.status == "optimal" and res.objective == 2 and res.pivots
 
 
 def test_minimum_ratio_tie_goes_to_the_least_basic_variable():
@@ -295,6 +380,21 @@ def test_matches_fraction_reference_on_q8_shape_lps(q8, monkeypatch):
     assert len(shapes) == 32
     for c, A, b in _captured_metric_lps(monkeypatch, q8, 2, shapes, False):
         assert assert_matches_reference(c, A, b).status == "infeasible"
+
+
+def test_every_q8_and_q16_shape_lp_is_refuted_by_propagation(q8, q16,
+                                                            monkeypatch):
+    for G, count in ((q8, 32), (q16, 128)):
+        leaves = [subgroup_class_of(G, G.closure([G.element_by_name(g)]))
+                  for g in ("tau", "sigma", "sigma*tau")]
+        shapes = enumerate_shapes(G, leaves)
+        assert len(shapes) == count
+        for c, A, b in _captured_metric_lps(monkeypatch, G, 2, shapes,
+                                            False):
+            y = propagate(c, A, b)
+            assert y is not None and is_farkas(A, b, y)
+            assert outcome(solve_lp(c, A, b)) == \
+                ("infeasible", None, None, y, None, 0)
 
 
 def test_matches_fraction_reference_on_witness_shape_lps(z2, z3,

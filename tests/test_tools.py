@@ -49,14 +49,20 @@ def _corpus(path, records):
 def test_lp_replay_against_a_checkout(tmp_path, capsys):
     lp_replay = load_tool("lp_replay")
     corpus = tmp_path / "tiny-lp.jsonl"
-    # one infeasible LP as recorded, then one whose recorded status is wrong
-    _corpus(corpus, [([0], [[1], [1]], [1, 2], "infeasible", ["-1", "1"]),
-                     ([0], [[1], [1]], [1, 2], "optimal", None)])
+    # one infeasible LP as recorded, then one whose recorded status is
+    # wrong: both reach the simplex (no row is a singleton). The third is
+    # refuted by propagation, without a pivot
+    _corpus(corpus, [([0, 0], [[1, 1], [1, 1]], [1, 2], "infeasible",
+                      ["-1", "1"]),
+                     ([0, 0], [[1, 1], [1, 1]], [1, 2], "optimal", None),
+                     ([0], [[1], [1]], [1, 2], "infeasible", ["-1", "1"])])
     solvers = [lp_replay.load_solver(ROOT, "replay_lp"),
                lp_replay.load_solver(ROOT, "replay_lp_against")]
-    records, mismatches, pivots, best = lp_replay.replay(str(corpus),
-                                                         solvers, 2)
-    assert (records, mismatches, pivots) == (2, 1, 2)
+    records, mismatches, unpivoted_mismatches, pivots, unpivoted, best = \
+        lp_replay.replay(str(corpus), solvers, 2)
+    assert (records, mismatches, unpivoted_mismatches, pivots) == \
+        (3, 1, 0, 2)
+    assert unpivoted == [1, 1]
     assert len(best) == 2 and all(t > 0 for t in best)
     assert "tiny-lp.jsonl:2: status infeasible, recorded optimal" in \
         capsys.readouterr().out
@@ -66,11 +72,14 @@ def test_lp_replay_against_a_checkout(tmp_path, capsys):
         res.pivots += 1
         return res
 
-    _, mismatches, _, _ = lp_replay.replay(str(corpus),
-                                           [solvers[0], one_more_pivot], 1)
-    assert mismatches == 2
-    assert "tiny-lp.jsonl:1: pivots 1, other checkout 2" in \
-        capsys.readouterr().out
+    _, mismatches, unpivoted_mismatches, _, unpivoted, _ = lp_replay.replay(
+        str(corpus), [solvers[0], one_more_pivot], 1)
+    assert (mismatches, unpivoted_mismatches, unpivoted) == (3, 1, [1, 0])
+    out = capsys.readouterr().out
+    assert "tiny-lp.jsonl:1: pivots 1, other checkout 2" in out
+    assert "tiny-lp.jsonl:3: pivots 0, other checkout 1" in out
     with pytest.raises(SystemExit) as stop:
         lp_replay.main([str(corpus), "--against", ROOT])
     assert stop.value.code == 1
+    assert "3 LPs, 1 mismatches (0 on LPs decided here without a pivot)" \
+        in capsys.readouterr().out

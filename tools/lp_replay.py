@@ -16,8 +16,10 @@ objective, Farkas vector, dual or pivot count on which the two solvers
 differ. --repeat solves the corpus N times, the two solvers alternating
 record by record, and reports each solver's least total.
 
-Per file it prints the number of LPs, the mismatches, the pivots and the
-solve time of each solver; it exits 1 if any record mismatches.
+Per file it prints the number of LPs, the mismatches (and how many of
+them are on records this checkout decided without a pivot), the pivots,
+the records each solver decided without a pivot and the solve time of
+each solver; it exits 1 if any record mismatches.
 """
 
 import argparse
@@ -60,8 +62,9 @@ FIELDS = ("status", "x", "objective", "farkas", "dual", "pivots")
 
 
 def replay(path, solvers, repeat):
-    """(records, mismatches, pivots, least seconds per solver) of one
-    corpus file."""
+    """(records, mismatches, mismatches on records decided here without a
+    pivot, pivots, records decided without a pivot per solver, least
+    seconds per solver) of one corpus file."""
     with open(path) as fh:
         records = [json.loads(line) for line in fh]
     problems = [([number(v) for v in rec["c"]],
@@ -79,7 +82,7 @@ def replay(path, solvers, repeat):
                 seconds[k] += time.perf_counter() - start
             results.append(out)
         best = [min(b, s) for b, s in zip(best, seconds)]
-    mismatches = 0
+    mismatches = unpivoted_mismatches = 0
     for line_no, (rec, out) in enumerate(zip(records, results), 1):
         recorded = (rec["status"], vector(rec["x"]),
                     None if rec["objective"] is None
@@ -94,9 +97,13 @@ def replay(path, solvers, repeat):
                                if e != g), None)
         if bad:
             mismatches += 1
+            unpivoted_mismatches += not out[0].pivots
             print(f"{path}:{line_no}: {bad}")
     pivots = sum(out[0].pivots for out in results)
-    return len(records), mismatches, pivots, best
+    unpivoted = [sum(not out[k].pivots for out in results)
+                 for k in range(len(solvers))]
+    return (len(records), mismatches, unpivoted_mismatches, pivots,
+            unpivoted, best)
 
 
 def main(argv):
@@ -118,13 +125,17 @@ def main(argv):
         names.append(args.against)
     bad = 0
     for path in paths:
-        records, mismatches, pivots, best = replay(path, solvers,
-                                                   max(args.repeat, 1))
+        records, mismatches, unpivoted_mismatches, pivots, unpivoted, best = \
+            replay(path, solvers, max(args.repeat, 1))
         bad += mismatches
         times = ", ".join(f"{name} {t:.4f} s"
                           for name, t in zip(names, best))
+        decided = ", ".join(f"{name} {k}"
+                            for name, k in zip(names, unpivoted))
         print(f"{os.path.basename(path)}: {records} LPs, {mismatches} "
-              f"mismatches, {pivots} pivots, solve {times}")
+              f"mismatches ({unpivoted_mismatches} on LPs decided here "
+              f"without a pivot), {pivots} pivots, decided without a pivot "
+              f"{decided}, solve {times}")
     sys.exit(1 if bad else 0)
 
 
